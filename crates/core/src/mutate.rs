@@ -180,6 +180,18 @@ impl GatheringPlan {
                 sensors.len()
             ));
         }
+        // `listed[s]`: sensor `s` appears in the covered list of the polling
+        // point it is assigned to. One pass over the covered lists replaces
+        // a linear `contains` per sensor; this check runs after every
+        // served delta.
+        let mut listed = vec![false; sensors.len()];
+        for (k, pp) in self.polling_points.iter().enumerate() {
+            for &s in &pp.covered {
+                if self.assignment.get(s as usize) == Some(&k) {
+                    listed[s as usize] = true;
+                }
+            }
+        }
         for (s, &pp) in self.assignment.iter().enumerate() {
             if !alive[s] {
                 continue;
@@ -197,7 +209,7 @@ impl GatheringPlan {
                     "live sensor {s} is {d:.2} m from its polling point (range {range} m)"
                 ));
             }
-            if !pp_ref.covered.contains(&(s as u32)) {
+            if !listed[s] {
                 return Err(format!(
                     "polling point {pp} does not list live sensor {s} as covered"
                 ));
@@ -309,6 +321,23 @@ mod tests {
         plan.validate_live(&sensors, 10.0, &alive).unwrap();
         // The full validator rejects the now-partial plan.
         assert!(plan.validate(&sensors, 10.0).is_err());
+    }
+
+    #[test]
+    fn validate_live_requires_the_assigned_stop_to_list_the_sensor() {
+        let (mut plan, sensors) = plan_and_sensors();
+        // Sensor 1 stays assigned to stop 0 but is listed under stop 1.
+        plan.polling_points[0].covered.retain(|&s| s != 1);
+        plan.polling_points[1].covered.push(1);
+        let err = plan
+            .validate_live(&sensors, 30.0, &[true; 5])
+            .expect_err("stop 0 no longer lists sensor 1");
+        assert!(err.contains("does not list live sensor 1"), "{err}");
+        // Dead sensors and ids past the deployment in a covered list are
+        // not the validator's concern.
+        plan.polling_points[2].covered.push(99);
+        plan.validate_live(&sensors, 30.0, &[true, false, true, true, true])
+            .unwrap();
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! # mdg-par — deterministic data parallelism on std threads
 //!
 //! The planner's hot loops (gain seeding, insertion-cache maintenance,
-//! k-NN list construction, candidate-move evaluation) are embarrassingly
+//! k-NN list construction, per-tile planning) are embarrassingly
 //! parallel *computations* feeding strictly sequential *decisions*. This
 //! crate supplies the computation side: a persistent worker pool (no
 //! crates.io dependencies — workers are plain `std::thread`s parked on a
@@ -17,15 +17,20 @@
 //! * [`par_reduce`] — [`par_chunks`] followed by a **sequential** fold of
 //!   the block results in block order; the reducer runs on the calling
 //!   thread, which is where all selection and tie-breaking belongs.
-//! * [`par_find_first_map`] — the smallest `i` with `f(i) = Some(..)`,
-//!   mirroring a sequential first-improvement scan with bounded
-//!   speculative evaluation.
+//!
+//! A hand-off to the pool costs microseconds, so callers keep scans that
+//! finish in less than that inline (the dense 2-opt/Or-opt candidate
+//! scans, for one, never enter the pool).
 //!
 //! ## Thread-count control
 //!
-//! Effective parallelism is resolved per call as: programmatic override
-//! ([`set_threads`], `0` = auto) → `MDG_THREADS` environment variable
-//! (`0`/unset/unparsable = auto) → [`std::thread::available_parallelism`].
+//! Effective parallelism is: programmatic override ([`set_threads`],
+//! `0` = auto) → `MDG_THREADS` environment variable (`0`/unset/unparsable
+//! = auto) → [`std::thread::available_parallelism`]. The automatic count
+//! (environment, then hardware) is resolved **once per process**, on the
+//! first parallel call: querying the hardware reads cgroup files, and the
+//! primitives are called hundreds of thousands of times per large plan.
+//! The override is an atomic, so [`set_threads`] takes effect at once.
 //! One thread means every primitive degrades to the plain sequential loop.
 //!
 //! ## Nesting and reentrancy
@@ -35,7 +40,9 @@
 //! busy) silently runs sequentially inline — correct by the determinism
 //! contract, and free of lock-ordering hazards. This is exactly what the
 //! bench runner needs: it fans replicates out across the pool while each
-//! replicate's planner calls collapse to their sequential fallbacks.
+//! replicate's planner calls collapse to their sequential fallbacks. The
+//! nested check is a thread-local flag, so a collapsed call costs about
+//! as much as the loop it runs.
 //!
 //! ## Panics
 //!
@@ -78,21 +85,26 @@ pub fn set_threads(n: usize) {
 /// assert!(mdg_par::threads() >= 1);
 /// ```
 pub fn threads() -> usize {
-    let explicit = OVERRIDE.load(Ordering::Relaxed);
-    if explicit > 0 {
-        return explicit.clamp(1, MAX_THREADS);
+    match OVERRIDE.load(Ordering::Relaxed) {
+        0 => auto_threads(),
+        // `set_threads` already clamped it to MAX_THREADS.
+        explicit => explicit,
     }
-    if let Ok(v) = std::env::var("MDG_THREADS") {
-        if let Ok(n) = v.trim().parse::<usize>() {
-            if n > 0 {
-                return n.clamp(1, MAX_THREADS);
-            }
-        }
-    }
-    std::thread::available_parallelism()
-        .map(|p| p.get())
-        .unwrap_or(1)
-        .clamp(1, MAX_THREADS)
+}
+
+/// The automatic thread count: `MDG_THREADS` if it holds a positive
+/// number, else the hardware parallelism, clamped to `1..=MAX_THREADS`.
+/// Resolved on first use and fixed for the life of the process.
+fn auto_threads() -> usize {
+    static AUTO: OnceLock<usize> = OnceLock::new();
+    *AUTO.get_or_init(|| {
+        std::env::var("MDG_THREADS")
+            .ok()
+            .and_then(|v| v.trim().parse::<usize>().ok())
+            .filter(|&n| n > 0)
+            .unwrap_or_else(|| std::thread::available_parallelism().map_or(1, |p| p.get()))
+            .clamp(1, MAX_THREADS)
+    })
 }
 
 // ---------------------------------------------------------------------------
@@ -305,22 +317,17 @@ unsafe fn call_task<F: Fn(usize) + Sync>(data: *const (), i: usize) {
 /// otherwise. The task must tolerate any execution order (all callers in
 /// this crate write disjoint, index-addressed outputs).
 fn execute<F: Fn(usize) + Sync>(n_tasks: usize, task: &F) {
-    if n_tasks == 0 {
+    // The nested flag is read before the thread count: the per-tile calls
+    // of a tiled plan are nested and must cost no more than their loop.
+    if n_tasks <= 1 || IN_PAR.with(|f| f.get()) || threads() <= 1 {
+        (0..n_tasks).for_each(task);
         return;
     }
     let t = threads();
-    if n_tasks == 1 || t <= 1 || IN_PAR.with(|f| f.get()) {
-        for i in 0..n_tasks {
-            task(i);
-        }
-        return;
-    }
     let Ok(_guard) = SUBMIT.try_lock() else {
         // Another thread is mid-job; don't queue behind it (that thread
         // may itself be waiting on compute we'd block) — run inline.
-        for i in 0..n_tasks {
-            task(i);
-        }
+        (0..n_tasks).for_each(task);
         return;
     };
     let helpers = (t - 1).min(n_tasks - 1);
@@ -520,43 +527,6 @@ where
     Some(blocks.fold(first, &mut fold))
 }
 
-/// Returns `(i, f(i).unwrap())` for the **smallest** `i in 0..n` with
-/// `f(i) = Some(..)`, or `None` if there is none — the parallel analogue
-/// of a sequential first-improvement scan.
-///
-/// Indices are evaluated in parallel groups walked front to back, so the
-/// scan stops early (within one group) of the first hit; speculative
-/// evaluation past the hit is bounded by the group size and never affects
-/// the result: the first group containing any hit necessarily contains
-/// the globally smallest one.
-pub fn par_find_first_map<R, F>(n: usize, f: F) -> Option<(usize, R)>
-where
-    R: Send,
-    F: Fn(usize) -> Option<R> + Sync,
-{
-    let t = threads();
-    if n == 0 {
-        return None;
-    }
-    if t <= 1 || IN_PAR.with(|flag| flag.get()) {
-        return (0..n).find_map(|i| f(i).map(|r| (i, r)));
-    }
-    // Group size balances early-exit (small groups) against per-job
-    // overhead (large groups); any value yields the same result.
-    let group = (t * 256).min(n);
-    let mut start = 0;
-    while start < n {
-        let end = (start + group).min(n);
-        let hits = par_map(end - start, |k| f(start + k));
-        if let Some(k) = hits.iter().position(|h| h.is_some()) {
-            let r = hits.into_iter().nth(k).flatten().expect("checked Some");
-            return Some((start + k, r));
-        }
-        start = end;
-    }
-    None
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -631,14 +601,6 @@ mod tests {
             )
         });
         assert_eq!(par_reduce(0, 4, |_| 0u32, |a, b| a + b), None);
-    }
-
-    #[test]
-    fn find_first_matches_sequential_scan() {
-        let pred = |i: usize| (i >= 777 && i.is_multiple_of(13)).then_some(i * 10);
-        same_at_all_thread_counts(|| par_find_first_map(5000, pred));
-        assert_eq!(par_find_first_map(5000, pred).map(|(i, _)| i), Some(780));
-        assert_eq!(par_find_first_map(100, |_| None::<()>), None);
     }
 
     #[test]

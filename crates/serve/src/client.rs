@@ -6,6 +6,7 @@
 
 use crate::protocol::*;
 use mdg_geom::Point;
+use serde::Deserialize;
 use std::io::{self, BufReader, BufWriter};
 use std::net::{TcpStream, ToSocketAddrs};
 use std::time::Duration;
@@ -78,18 +79,22 @@ impl Client {
         let line = serde_json::to_string(req)
             .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string()))?;
         let resp = self.send_raw(&line)?;
-        let ack: Ack = serde_json::from_str(&resp).map_err(|e| {
+        // Parse the line once and read the ack and the body off one tree:
+        // a `get_plan` reply is megabytes of JSON on a large field.
+        let unparseable = |e: serde_json::Error| {
             io::Error::new(
                 io::ErrorKind::InvalidData,
                 format!("unparseable response: {e}"),
             )
-        })?;
+        };
+        let value = serde_json::parse_value(&resp).map_err(unparseable)?;
+        let ack = Ack::from_value(&value).map_err(unparseable)?;
         if ack.ok {
-            serde_json::from_str::<T>(&resp)
+            T::from_value(&value)
                 .map(Ok)
                 .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string()))
         } else {
-            let err: ErrorResponse = serde_json::from_str(&resp)
+            let err = ErrorResponse::from_value(&value)
                 .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string()))?;
             Ok(Err(err.error))
         }

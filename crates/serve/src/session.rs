@@ -398,6 +398,9 @@ impl FieldSession {
                         },
                         range,
                     );
+                    // Free the old n²-bit candidate sets before building
+                    // their replacement, so the two never coexist.
+                    inst.candidates = Vec::new();
                     *inst = CoverageInstance::sensor_sites(&net.deployment.sensors, range);
                     alive.resize(net.n_sensors(), true);
                     plan.assignment.resize(net.n_sensors(), UNASSIGNED);

@@ -26,12 +26,6 @@ impl Default for ImproveConfig {
     }
 }
 
-/// Candidate scans shorter than this run sequentially: the pool dispatch
-/// overhead outweighs the arithmetic. The gate only affects *where* the
-/// scan runs — [`mdg_par::par_find_first_map`] returns the same earliest
-/// hit as the sequential scan — so the tour is identical either way.
-const PAR_SCAN_MIN: usize = 128;
-
 /// One first-improvement 2-opt pass; returns the total gain.
 ///
 /// A 2-opt move removes edges `(order[i], order[i+1])` and
@@ -44,11 +38,11 @@ const PAR_SCAN_MIN: usize = 128;
 /// full sweep accepts no move, so the result is still a 2-opt local
 /// optimum; the quadratic restart cost per accepted move is gone.
 ///
-/// Candidate moves for a given `i` are *evaluated* in parallel (the scan
-/// picks the earliest improving `j`, exactly as the sequential loop does)
-/// while every *application* stays on the caller thread, so the move
-/// sequence — and the final tour — is bit-identical at any thread count.
-fn two_opt_pass<C: CostMatrix + Sync>(cost: &C, order: &mut [usize], min_gain: f64) -> f64 {
+/// Candidate scans stay on the calling thread. A scan is one cost lookup
+/// per remaining edge — a few microseconds even on a 1 500-stop tour —
+/// and a hand-off to the `mdg-par` pool costs more than that, so parallel
+/// evaluation made every measured tour size slower.
+fn two_opt_pass<C: CostMatrix>(cost: &C, order: &mut [usize], min_gain: f64) -> f64 {
     let n = order.len();
     let mut total_gain = 0.0;
     if n < 4 {
@@ -65,26 +59,17 @@ fn two_opt_pass<C: CostMatrix + Sync>(cost: &C, order: &mut [usize], min_gain: f
             loop {
                 let b = order[i + 1];
                 let d_ab = cost.cost(a, b);
-                let hit = {
-                    let eval = |j: usize| {
-                        // Skip the move that would touch the same edge
-                        // twice (wraps to i == 0 and j == n-1).
-                        if i == 0 && j == n - 1 {
-                            return None;
-                        }
-                        let c = order[j];
-                        let d = order[(j + 1) % n];
-                        let gain = d_ab + cost.cost(c, d) - cost.cost(a, c) - cost.cost(b, d);
-                        (gain > min_gain).then_some(gain)
-                    };
-                    let len = n - (i + 2);
-                    if len >= PAR_SCAN_MIN {
-                        mdg_par::par_find_first_map(len, |idx| eval(i + 2 + idx))
-                            .map(|(idx, gain)| (i + 2 + idx, gain))
-                    } else {
-                        (i + 2..n).find_map(|j| eval(j).map(|gain| (j, gain)))
+                let hit = (i + 2..n).find_map(|j| {
+                    // Skip the move that would touch the same edge twice
+                    // (wraps to i == 0 and j == n-1).
+                    if i == 0 && j == n - 1 {
+                        return None;
                     }
-                };
+                    let c = order[j];
+                    let d = order[(j + 1) % n];
+                    let gain = d_ab + cost.cost(c, d) - cost.cost(a, c) - cost.cost(b, d);
+                    (gain > min_gain).then_some((j, gain))
+                });
                 let Some((j, gain)) = hit else { break };
                 order[i + 1..=j].reverse();
                 total_gain += gain;
@@ -99,19 +84,16 @@ fn two_opt_pass<C: CostMatrix + Sync>(cost: &C, order: &mut [usize], min_gain: f
 
 /// 2-opt local search until no improving move remains. Never lengthens the
 /// tour.
-pub fn two_opt<C: CostMatrix + Sync>(cost: &C, tour: Tour) -> Tour {
+pub fn two_opt<C: CostMatrix>(cost: &C, tour: Tour) -> Tour {
     let mut order = tour.into_order();
     two_opt_pass(cost, &mut order, ImproveConfig::default().min_gain);
     Tour::from_order_unchecked(order).normalized()
 }
 
 /// One Or-opt pass: relocates segments of length `1..=max_segment` to a
-/// better position (possibly reversed). Returns the total gain.
-///
-/// Like [`two_opt_pass`], insertion positions are *evaluated* in parallel
-/// (earliest improving position wins, as in the sequential scan) and
-/// applied sequentially, keeping the result thread-count-independent.
-fn or_opt_pass<C: CostMatrix + Sync>(
+/// better position (possibly reversed). Returns the total gain. The
+/// insertion scan stays inline for the reason given on [`two_opt_pass`].
+fn or_opt_pass<C: CostMatrix>(
     cost: &C,
     order: &mut Vec<usize>,
     max_segment: usize,
@@ -148,36 +130,28 @@ fn or_opt_pass<C: CostMatrix + Sync>(
                 }
                 // Try reinserting between every other consecutive pair,
                 // taking the earliest improving position.
-                let hit = {
-                    let eval = |pos: usize| {
-                        // Insertion edge must be outside the removed
-                        // segment's neighborhood: positions start-1 (mod n,
-                        // the edge into the segment) through start+seg_len
-                        // are excluded.
-                        let before = (start + n - 1) % n;
-                        if pos == before || (pos >= start && pos <= start + seg_len) {
-                            return None;
-                        }
-                        let ins_a = order[pos];
-                        let ins_b = order[(pos + 1) % n];
-                        let base = cost.cost(ins_a, ins_b);
-                        let fwd = cost.cost(ins_a, first) + cost.cost(last, ins_b) - base;
-                        let rev = cost.cost(ins_a, last) + cost.cost(first, ins_b) - base;
-                        let (ins_cost, reversed) = if fwd <= rev {
-                            (fwd, false)
-                        } else {
-                            (rev, true)
-                        };
-                        let gain = removal_gain - ins_cost;
-                        (gain > min_gain).then_some((gain, reversed))
-                    };
-                    if n >= PAR_SCAN_MIN {
-                        mdg_par::par_find_first_map(n, eval)
-                    } else {
-                        (0..n).find_map(|pos| eval(pos).map(|m| (pos, m)))
+                let hit = (0..n).find_map(|pos| {
+                    // Insertion edge must be outside the removed segment's
+                    // neighborhood: positions start-1 (mod n, the edge into
+                    // the segment) through start+seg_len are excluded.
+                    let before = (start + n - 1) % n;
+                    if pos == before || (pos >= start && pos <= start + seg_len) {
+                        return None;
                     }
-                };
-                if let Some((pos, (gain, reversed))) = hit {
+                    let ins_a = order[pos];
+                    let ins_b = order[(pos + 1) % n];
+                    let base = cost.cost(ins_a, ins_b);
+                    let fwd = cost.cost(ins_a, first) + cost.cost(last, ins_b) - base;
+                    let rev = cost.cost(ins_a, last) + cost.cost(first, ins_b) - base;
+                    let (ins_cost, reversed) = if fwd <= rev {
+                        (fwd, false)
+                    } else {
+                        (rev, true)
+                    };
+                    let gain = removal_gain - ins_cost;
+                    (gain > min_gain).then_some((pos, gain, reversed))
+                });
+                if let Some((pos, gain, reversed)) = hit {
                     // Execute: remove the segment, then insert.
                     let ins_a = order[pos];
                     let mut seg: Vec<usize> = order.drain(start..start + seg_len).collect();
@@ -207,7 +181,7 @@ fn or_opt_pass<C: CostMatrix + Sync>(
 
 /// Or-opt local search (segment relocation) until no improving move
 /// remains. Never lengthens the tour.
-pub fn or_opt<C: CostMatrix + Sync>(cost: &C, tour: Tour) -> Tour {
+pub fn or_opt<C: CostMatrix>(cost: &C, tour: Tour) -> Tour {
     let mut order = tour.into_order();
     let cfg = ImproveConfig::default();
     or_opt_pass(cost, &mut order, cfg.max_segment, cfg.min_gain);
@@ -216,7 +190,7 @@ pub fn or_opt<C: CostMatrix + Sync>(cost: &C, tour: Tour) -> Tour {
 
 /// Alternates 2-opt and Or-opt passes until neither improves (or
 /// `max_passes` is hit). The standard polishing step of the planner.
-pub fn improve<C: CostMatrix + Sync>(cost: &C, tour: Tour, cfg: &ImproveConfig) -> Tour {
+pub fn improve<C: CostMatrix>(cost: &C, tour: Tour, cfg: &ImproveConfig) -> Tour {
     let mut order = tour.into_order();
     let mut sp = mdg_obs::span("improve");
     sp.add_items(order.len() as u64);

@@ -80,7 +80,7 @@ pub use tour::Tour;
 /// assert_eq!(tour.order()[0], 0, "tours start at the depot");
 /// assert!((tour.length(&cost) - 40.0).abs() < 1e-9, "the square is optimal");
 /// ```
-pub fn plan_tour<C: CostMatrix + Sync>(cost: &C) -> Tour {
+pub fn plan_tour<C: CostMatrix>(cost: &C) -> Tour {
     let t = cheapest_insertion(cost);
     improve(cost, t, &ImproveConfig::default())
 }

@@ -124,10 +124,9 @@ fn dense_improve_parallel_branch_matches_sequential() {
     use mobile_collectors::geom::Point;
     use mobile_collectors::tour::{improve, EuclideanCost, ImproveConfig, Tour};
     let _g = lock();
-    // Drive `improve` directly at n ≥ 600 so the candidate scans exceed
-    // the parallel gate even near the end of the tour, with EuclideanCost
-    // (the generic path the planner uses above the dense matrix limit in
-    // repair code). The improved tour must be identical at every thread
+    // Drive `improve` directly at n = 600, past the planner's dense limit,
+    // with EuclideanCost. Its candidate scans run inline on the calling
+    // thread, so the improved tour must be identical at every thread
     // count.
     let mut state = 0xD1CEu64;
     let mut next = || {
