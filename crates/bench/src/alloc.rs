@@ -10,20 +10,26 @@
 //! long-lived daemon actually pays per delta — O(dirty tiles), not O(n).
 //!
 //! The committed `BENCH_alloc.json` snapshot of this table is the baseline
-//! for CI's allocation-regression gate: a change that makes steady-state
-//! `allocs_per_delta` exceed the checked-in figure by more than 10% fails
-//! the build. Refresh the baseline with:
+//! of the allocation-regression gate in [`crate::gate`]: an `experiments`
+//! run whose steady-state `allocs_per_delta` at n = 20 000 exceeds the
+//! checked-in figure by more than 10% exits non-zero. Refresh the baseline
+//! with:
 //!
 //! ```console
-//! $ MDG_ALLOC_JSON=BENCH_alloc.json \
-//!   cargo run --release -p mdg-bench --bin experiments -- alloc
+//! $ cargo run --release -p mdg-bench --bin experiments -- alloc --full --out results
+//! $ cp results/alloc_budget.json BENCH_alloc.json
 //! ```
 //!
+//! The counts depend on the toolchain and the worker-thread count, so CI's
+//! `gate` job pins both to the ones the baseline was recorded with (rustc
+//! 1.95.0, `MDG_THREADS=2`); a refresh on another toolchain moves that
+//! pin in `.github/workflows/ci.yml` too.
+//!
 //! The experiment reads *process-wide* allocator totals, so its absolute
-//! numbers are only exact when it runs alone in the process (the
-//! `experiments` binary; CI's gate). Inside `cargo test` other tests
-//! allocate concurrently, so the in-experiment assertions stay
-//! structural.
+//! numbers are only exact when nothing else in the process allocates
+//! meanwhile (the `experiments` binary runs one experiment at a time).
+//! Inside `cargo test` other tests allocate concurrently, so the
+//! in-experiment assertions stay structural.
 
 use crate::params::{Params, Profile};
 use crate::serve_hier::churn_round;
@@ -33,6 +39,9 @@ use mdg_net::DeploymentConfig;
 use mdg_obs::alloc::{counting, set_counting, totals};
 use mdg_serve::session::FieldSession;
 
+/// Id of this experiment's table, which [`crate::gate`] checks.
+pub(crate) const TABLE_ID: &str = "alloc_budget";
+
 /// Transmission range for every sweep point (the paper's `R = 30 m`).
 const RANGE: f64 = 30.0;
 
@@ -40,21 +49,24 @@ const RANGE: f64 = 30.0;
 /// reach its high-water capacity so the window sees steady state only.
 const WARMUP_ROUNDS: usize = 4;
 
+/// The sweep point [`crate::gate`] compares with the committed baseline,
+/// and the floor of every profile's sweep: big enough that the field
+/// tiles (so deltas stay incremental), small enough for a debug-build
+/// test loop.
+pub(crate) const GATE_N: usize = 20_000;
+
 /// Field sizes swept per profile, constant density (side = sqrt(n)·10).
-/// The 20k floor matches CI's alloc-gate point: big enough that the field
-/// tiles (so deltas stay incremental), small enough for a debug-build CI
-/// loop.
 fn sweep(p: &Params) -> &'static [usize] {
     match p.profile {
-        Profile::Smoke => &[20_000],
-        Profile::Default => &[20_000, 100_000],
-        Profile::Full => &[20_000, 100_000, 1_000_000],
+        Profile::Smoke => &[GATE_N],
+        Profile::Default => &[GATE_N, 100_000],
+        Profile::Full => &[GATE_N, 100_000, 1_000_000],
     }
 }
 
 /// Measured steady-state deltas per sweep point. Identical in every
 /// profile on purpose: allocation counts are exactly deterministic, and
-/// CI's smoke-profile run is gated against the committed full-profile
+/// a smoke-profile run is gated against the committed full-profile
 /// baseline — a shorter window would still contain pool-growth rounds
 /// and read systematically high (12 rounds measures ~25% more allocs
 /// per delta than 24 at n = 20k). Profiles differ only in the n-sweep,
@@ -67,7 +79,7 @@ fn steady_rounds(_p: &Params) -> usize {
 /// dirty-tile delta, hier sessions at every point.
 pub fn alloc(p: &Params) -> Table {
     let mut t = Table::new(
-        "alloc_budget",
+        TABLE_ID,
         "Allocation budget: cold hier plan vs steady-state warm delta (counting allocator)",
         &[
             "n_sensors",
@@ -143,27 +155,17 @@ pub fn alloc(p: &Params) -> Table {
         );
     }
     set_counting(was_counting);
+    let threads = mdg_par::threads();
     t.notes = format!(
         "Counting global allocator over one hierarchical session per point (hier_threshold = 0), \
          S6's deterministic churn. cold_* is the full cold plan's bill; allocs_per_delta / \
          kib_per_delta average the {WARMUP_ROUNDS}-round-warmed steady window, so they exclude \
          pool growth; peak_mib is the high-water live-byte mark during that window; reuse_ratio \
          = cold_allocs / allocs_per_delta. The committed BENCH_alloc.json row at n = 20000 is \
-         CI's regression baseline (fail at > 10% more allocs per delta). Numbers are process-wide \
-         and only exact when the experiment runs alone in the process."
+         the regression baseline (fail at > 10% more allocs per delta). Numbers are process-wide \
+         and only exact when nothing else in the process allocates meanwhile. Run at {threads} \
+         worker thread(s)."
     );
-    if let Ok(path) = std::env::var("MDG_ALLOC_JSON") {
-        if !path.is_empty() {
-            match serde_json::to_string_pretty(&t) {
-                Ok(json) => {
-                    if let Err(e) = std::fs::write(&path, json + "\n") {
-                        eprintln!("could not write {path}: {e}");
-                    }
-                }
-                Err(e) => eprintln!("could not serialize alloc table: {e}"),
-            }
-        }
-    }
     t
 }
 

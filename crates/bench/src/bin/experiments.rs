@@ -6,10 +6,13 @@
 //! experiments list
 //! ```
 //!
-//! Each experiment prints a markdown table to stdout and writes a CSV into
-//! the output directory (default `results/`).
+//! Each experiment prints a markdown table to stdout and writes it as
+//! `<id>.csv` and `<id>.json` into the output directory (default
+//! `results/`). After each experiment the binary applies the post-run
+//! gates of [`mdg_bench::gate`]; if any fails it exits non-zero, naming
+//! each violation.
 
-use mdg_bench::{run_experiment, Params, ALL_EXPERIMENTS};
+use mdg_bench::{gate, run_experiment, Params, ALL_EXPERIMENTS};
 use std::path::PathBuf;
 use std::process::ExitCode;
 
@@ -69,6 +72,7 @@ fn main() -> ExitCode {
         params.replicates,
         params.base_seed
     );
+    let mut violations = Vec::new();
     for id in &ids {
         let start = std::time::Instant::now();
         let Some(table) = run_experiment(id, &params) else {
@@ -76,16 +80,20 @@ fn main() -> ExitCode {
             return usage();
         };
         println!("{}", table.to_markdown());
-        match table.write_csv(&out_dir) {
-            Ok(path) => {
-                println!(
-                    "wrote {} ({:.1} s)\n",
-                    path.display(),
-                    start.elapsed().as_secs_f64()
-                )
+        for written in [table.write_csv(&out_dir), table.write_json(&out_dir)] {
+            match written {
+                Ok(path) => println!("wrote {}", path.display()),
+                Err(e) => eprintln!("could not write results for {id}: {e}"),
             }
-            Err(e) => eprintln!("could not write CSV for {id}: {e}"),
         }
+        println!("({:.1} s)\n", start.elapsed().as_secs_f64());
+        violations.extend(gate::check(&table));
     }
-    ExitCode::SUCCESS
+    if violations.is_empty() {
+        return ExitCode::SUCCESS;
+    }
+    for v in &violations {
+        eprintln!("gate FAILED: {v}");
+    }
+    ExitCode::FAILURE
 }

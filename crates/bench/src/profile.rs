@@ -1,11 +1,13 @@
 //! S3 — observability overhead and per-phase profile.
 //!
-//! Plans one constant-density uniform field twice — profiling off, then
+//! Plans one constant-density uniform field in pairs — profiling off, then
 //! profiling on — and reports the wall-clock overhead of the `mdg-obs`
 //! instrumentation along with a bit-identity check on the two plans (the
 //! observability determinism contract: profiling must only *observe*).
-//! Each arm takes the minimum over a few repetitions so the overhead
-//! column measures instrumentation cost, not scheduler noise.
+//! The arms alternate, and the overhead is the median of the per-pair
+//! on/off ratios: pairing cancels drift in machine speed and the median
+//! ignores a stalled or lucky run, so the column measures instrumentation
+//! cost, not scheduler noise.
 //!
 //! Setting the `MDG_PROFILE_JSON` environment variable to a path makes the
 //! experiment also write the profiled run's span/counter/histogram records
@@ -17,16 +19,42 @@ use crate::params::{Params, Profile};
 use crate::table::Table;
 use mdg_core::{GatheringPlan, ShdgPlanner};
 use mdg_net::{DeploymentConfig, Network};
-use std::time::Instant;
+use std::time::{Duration, Instant};
+
+/// Id of this experiment's table, which [`crate::gate`] checks.
+pub(crate) const TABLE_ID: &str = "profile_overhead";
 
 /// Transmission range for the profiled field (the paper's `R = 30 m`).
 const RANGE: f64 = 30.0;
 
-/// Repetitions per arm; each arm reports its minimum.
-const REPS: usize = 3;
+/// Off/on pairs: at least [`MIN_PAIRS`], then more until the pairs have
+/// taken [`MIN_SAMPLE`] of wall time, at most [`MAX_PAIRS`]. On a shared
+/// 2-vCPU host one pair's on/off ratio spreads about ±15% on the ~30 ms
+/// smoke plan and about ±10% on the ~2 s default plan, so the median of 9
+/// pairs still read over 5% about once in 30 smoke runs, while the ~30
+/// pairs that fit in 2 s stay within ±3.5%. A minimum per arm was worse:
+/// it follows whichever arm caught one fast outlier.
+const MIN_PAIRS: usize = 9;
 
-/// Field size per profile: the smoke field matches the CI overhead gate,
-/// the default matches the §S3 table in `EXPERIMENTS.md`.
+/// See [`MIN_PAIRS`].
+const MAX_PAIRS: usize = 41;
+
+/// See [`MIN_PAIRS`].
+const MIN_SAMPLE: Duration = Duration::from_secs(2);
+
+/// Median of a non-empty sample.
+fn median(mut v: Vec<f64>) -> f64 {
+    v.sort_by(f64::total_cmp);
+    let m = v.len() / 2;
+    if v.len() % 2 == 1 {
+        v[m]
+    } else {
+        (v[m - 1] + v[m]) / 2.0
+    }
+}
+
+/// Field size per profile: the smoke field is the one CI gates on (see
+/// [`crate::gate`]), the default matches the §S3 table in `EXPERIMENTS.md`.
 fn field_size(p: &Params) -> usize {
     match p.profile {
         Profile::Smoke => 2_000,
@@ -51,36 +79,38 @@ pub fn profile(p: &Params) -> Table {
         RANGE,
     );
 
-    mdg_obs::set_enabled(false);
-    let mut off_ms = f64::INFINITY;
+    let (mut off, mut on) = (Vec::new(), Vec::new());
     let mut plan_off: Option<GatheringPlan> = None;
-    for _ in 0..REPS {
-        let (plan, ms) = timed_plan(&net);
-        off_ms = off_ms.min(ms);
-        plan_off = Some(plan);
-    }
-
-    let mut on_ms = f64::INFINITY;
     let mut plan_on: Option<GatheringPlan> = None;
     let mut prof = mdg_obs::snapshot();
-    for _ in 0..REPS {
+    // Off and on alternate, so a slow stretch of the machine hits both arms.
+    let sampling = Instant::now();
+    while off.len() < MIN_PAIRS || (sampling.elapsed() < MIN_SAMPLE && off.len() < MAX_PAIRS) {
+        mdg_obs::set_enabled(false);
+        let (plan, ms) = timed_plan(&net);
+        off.push(ms);
+        plan_off = Some(plan);
+
         mdg_obs::reset();
         mdg_obs::set_enabled(true);
         let (plan, ms) = timed_plan(&net);
         mdg_obs::set_enabled(false);
         prof = mdg_obs::snapshot();
-        on_ms = on_ms.min(ms);
+        on.push(ms);
         plan_on = Some(plan);
     }
     mdg_obs::reset();
 
     let identical = plan_off == plan_on;
     assert!(identical, "profiling changed the plan at n = {n}");
-    let overhead_pct = (on_ms - off_ms) / off_ms * 100.0;
+    let pairs = off.len();
+    let ratios = on.iter().zip(&off).map(|(on, off)| on / off).collect();
+    let overhead_pct = (median(ratios) - 1.0) * 100.0;
+    let (off_ms, on_ms) = (median(off), median(on));
 
     eprintln!("{}", prof.render_tree());
     println!(
-        "  profile: n = {n:>6}  off {off_ms:>9.1} ms  on {on_ms:>9.1} ms  \
+        "  profile: n = {n:>6}  {pairs:>2} pairs  off {off_ms:>9.1} ms  on {on_ms:>9.1} ms  \
          overhead {overhead_pct:>+6.2} %  plans identical: {identical}"
     );
 
@@ -93,11 +123,12 @@ pub fn profile(p: &Params) -> Table {
     }
 
     let mut t = Table::new(
-        "profile_overhead",
+        TABLE_ID,
         "mdg-obs instrumentation overhead on one constant-density plan \
-         (min over 3 reps per arm)",
+         (median over alternating off/on pairs)",
         &[
             "n_sensors",
+            "pairs",
             "plan_off_ms",
             "plan_on_ms",
             "overhead_pct",
@@ -106,16 +137,21 @@ pub fn profile(p: &Params) -> Table {
     );
     t.push_row(vec![
         n as f64,
+        pairs as f64,
         off_ms,
         on_ms,
         overhead_pct,
         if identical { 1.0 } else { 0.0 },
     ]);
-    t.notes = "Single topology (seed = base_seed), side = sqrt(n)·10 m, R = 30 m. Arms are \
-               min-of-3 full SHDG plans with mdg-obs profiling disabled vs enabled; \
-               plans_identical = 1 asserts the bit-identity contract. MDG_PROFILE_JSON=path \
-               additionally dumps the profiled run's records as JSONL."
-        .into();
+    t.notes = format!(
+        "Single topology (seed = base_seed), side = sqrt(n)·10 m, R = 30 m. Pairs of full \
+         SHDG plans, mdg-obs profiling disabled then enabled: at least {MIN_PAIRS}, then more \
+         until {} s of sampling, at most {MAX_PAIRS}. plan_*_ms are per-arm medians and \
+         overhead_pct is the median of the per-pair on/off ratios, minus 1. plans_identical \
+         = 1 asserts the bit-identity contract. MDG_PROFILE_JSON=path additionally dumps the \
+         profiled run's records as JSONL.",
+        MIN_SAMPLE.as_secs()
+    );
     t
 }
 

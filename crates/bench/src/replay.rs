@@ -15,8 +15,9 @@
 //! recorded run's own budget shows up as the row with zero divergent
 //! rounds.
 //!
-//! Setting `MDG_REPLAY_JSON` to a path also writes the table there as
-//! JSON (used to refresh the committed `BENCH_replay.json`).
+//! The committed `BENCH_replay.json` is this table as the `experiments`
+//! binary writes it: `experiments replay --out results && cp
+//! results/replay_retry_sweep.json BENCH_replay.json`.
 
 use crate::params::{Params, Profile};
 use crate::table::Table;
@@ -176,18 +177,6 @@ pub fn replay(p: &Params) -> Table {
          each counterfactual against the recording.",
         p.base_seed
     );
-    if let Ok(path) = std::env::var("MDG_REPLAY_JSON") {
-        if !path.is_empty() {
-            match serde_json::to_string_pretty(&t) {
-                Ok(json) => {
-                    if let Err(e) = std::fs::write(&path, json + "\n") {
-                        eprintln!("could not write {path}: {e}");
-                    }
-                }
-                Err(e) => eprintln!("could not serialize replay table: {e}"),
-            }
-        }
-    }
     t
 }
 

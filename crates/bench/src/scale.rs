@@ -7,10 +7,9 @@
 //! from 1 000 to 100 000 sensors. One topology per point (`base_seed`) —
 //! the quantity of interest is wall-clock scaling, not topology variance.
 //!
-//! Setting the `MDG_SCALE_JSON` environment variable to a path makes the
-//! experiment also write the table there as JSON (used to refresh the
-//! committed `BENCH_scale.json`); unit tests and ordinary runs leave no
-//! stray files behind.
+//! The committed `BENCH_scale.json` is this table as the `experiments`
+//! binary writes it: `experiments scale --out results && cp
+//! results/scale_sweep.json BENCH_scale.json`.
 
 use crate::params::{Params, Profile};
 use crate::table::Table;
@@ -78,18 +77,6 @@ pub fn scale(p: &Params) -> Table {
                construction, plan_ms the full plan (cover, prune, tour, assignment). Constant \
                density: ~n/100 sensors per 10 m × 10 m cell at every n."
         .into();
-    if let Ok(path) = std::env::var("MDG_SCALE_JSON") {
-        if !path.is_empty() {
-            match serde_json::to_string_pretty(&t) {
-                Ok(json) => {
-                    if let Err(e) = std::fs::write(&path, json + "\n") {
-                        eprintln!("could not write {path}: {e}");
-                    }
-                }
-                Err(e) => eprintln!("could not serialize scale table: {e}"),
-            }
-        }
-    }
     t
 }
 

@@ -14,8 +14,9 @@
 //! asserts bit-identical plans — the determinism contract must hold
 //! through the tiled fan-out, not just the flat pipeline.
 //!
-//! Setting `MDG_SCALE_HIER_JSON` to a path also writes the table there as
-//! JSON (used to refresh the committed `BENCH_scale_hier.json`).
+//! The committed `BENCH_scale_hier.json` is this table as the
+//! `experiments` binary writes it: `experiments scale_hier --out results
+//! && cp results/scale_hier_sweep.json BENCH_scale_hier.json`.
 
 use crate::params::{Params, Profile};
 use crate::table::Table;
@@ -172,18 +173,6 @@ pub fn scale_hier(p: &Params) -> Table {
          covering avoids the flat planner's superlinear candidate scan.",
         HierConfig::default().target_per_tile
     );
-    if let Ok(path) = std::env::var("MDG_SCALE_HIER_JSON") {
-        if !path.is_empty() {
-            match serde_json::to_string_pretty(&t) {
-                Ok(json) => {
-                    if let Err(e) = std::fs::write(&path, json + "\n") {
-                        eprintln!("could not write {path}: {e}");
-                    }
-                }
-                Err(e) => eprintln!("could not serialize scale_hier table: {e}"),
-            }
-        }
-    }
     t
 }
 

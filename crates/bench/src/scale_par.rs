@@ -11,8 +11,9 @@
 //! counts — the hard invariant of the `mdg-par` layer. A speedup column
 //! normalizes against the single-thread row.
 //!
-//! Setting `MDG_SCALE_PAR_JSON` to a path also writes the table there as
-//! JSON (used to refresh the committed `BENCH_scale_par.json`).
+//! The committed `BENCH_scale_par.json` is this table as the `experiments`
+//! binary writes it: `experiments scale_par --out results && cp
+//! results/scale_par_sweep.json BENCH_scale_par.json`.
 
 use crate::params::{Params, Profile};
 use crate::table::Table;
@@ -101,18 +102,6 @@ pub fn scale_par(p: &Params) -> Table {
          Host had {cores} CPU core(s) available: speedup saturates at the core count \
          (on a 1-core host every row measures scheduling overhead, not scaling)."
     );
-    if let Ok(path) = std::env::var("MDG_SCALE_PAR_JSON") {
-        if !path.is_empty() {
-            match serde_json::to_string_pretty(&t) {
-                Ok(json) => {
-                    if let Err(e) = std::fs::write(&path, json + "\n") {
-                        eprintln!("could not write {path}: {e}");
-                    }
-                }
-                Err(e) => eprintln!("could not serialize scale_par table: {e}"),
-            }
-        }
-    }
     t
 }
 

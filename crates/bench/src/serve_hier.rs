@@ -21,8 +21,9 @@
 //! isolate planning cost from socket round-trips; `req_per_s` is
 //! client-observed wall-clock over the churn stream.
 //!
-//! Setting `MDG_SERVE_HIER_JSON` to a path also writes the table there as
-//! JSON (used to refresh the committed `BENCH_serve_hier.json`).
+//! The committed `BENCH_serve_hier.json` is this table as the
+//! `experiments` binary writes it: `experiments serve_hier --full --out
+//! results && cp results/serve_hier_churn.json BENCH_serve_hier.json`.
 
 use crate::params::{Params, Profile};
 use crate::table::Table;
@@ -257,18 +258,6 @@ pub fn serve_hier(p: &Params) -> Table {
          worker threads and must match the daemon's tour bit-for-bit. Host had {cores} CPU \
          core(s) available."
     );
-    if let Ok(path) = std::env::var("MDG_SERVE_HIER_JSON") {
-        if !path.is_empty() {
-            match serde_json::to_string_pretty(&t) {
-                Ok(json) => {
-                    if let Err(e) = std::fs::write(&path, json + "\n") {
-                        eprintln!("could not write {path}: {e}");
-                    }
-                }
-                Err(e) => eprintln!("could not serialize serve_hier table: {e}"),
-            }
-        }
-    }
     t
 }
 

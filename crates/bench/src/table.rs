@@ -2,7 +2,7 @@
 
 use serde::{Deserialize, Serialize};
 use std::fmt::Write as _;
-use std::path::Path;
+use std::path::{Path, PathBuf};
 
 /// A numeric result table for one experiment.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -76,10 +76,21 @@ impl Table {
     }
 
     /// Writes the CSV next to other results as `<dir>/<id>.csv`.
-    pub fn write_csv(&self, dir: &Path) -> std::io::Result<std::path::PathBuf> {
+    pub fn write_csv(&self, dir: &Path) -> std::io::Result<PathBuf> {
+        self.write(dir, "csv", self.to_csv())
+    }
+
+    /// Writes the whole table (notes included) as pretty JSON to
+    /// `<dir>/<id>.json`: the layout of the committed `BENCH_*.json` files.
+    pub fn write_json(&self, dir: &Path) -> std::io::Result<PathBuf> {
+        let json = serde_json::to_string_pretty(self).map_err(std::io::Error::other)?;
+        self.write(dir, "json", json + "\n")
+    }
+
+    fn write(&self, dir: &Path, ext: &str, contents: String) -> std::io::Result<PathBuf> {
         std::fs::create_dir_all(dir)?;
-        let path = dir.join(format!("{}.csv", self.id.to_lowercase()));
-        std::fs::write(&path, self.to_csv())?;
+        let path = dir.join(format!("{}.{ext}", self.id.to_lowercase()));
+        std::fs::write(&path, contents)?;
         Ok(path)
     }
 
@@ -145,6 +156,16 @@ mod tests {
         let path = sample().write_csv(&dir).unwrap();
         let content = std::fs::read_to_string(&path).unwrap();
         assert!(content.starts_with("deadline,collectors"));
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn json_file_roundtrip() {
+        let dir = std::env::temp_dir().join(format!("mdg_table_json_{}", std::process::id()));
+        let path = sample().write_json(&dir).unwrap();
+        assert_eq!(path, dir.join("f9.json"));
+        let back: Table = serde_json::from_str(&std::fs::read_to_string(&path).unwrap()).unwrap();
+        assert_eq!(back, sample());
         std::fs::remove_dir_all(&dir).ok();
     }
 

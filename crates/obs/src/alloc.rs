@@ -6,7 +6,7 @@
 //! *measurable* instead of aspirational. [`CountingAlloc`] wraps the
 //! system allocator and — only while counting is switched on — tallies
 //! every allocation's count and bytes, tracks the live-bytes high-water
-//! mark, and lets [`crate::span`]s attribute the traffic of their window
+//! mark, and lets [`crate::span()`]s attribute the traffic of their window
 //! to the phase tree (`alloc_count` / `alloc_bytes` / `alloc_peak` on
 //! [`crate::SpanRecord`]).
 //!
@@ -18,7 +18,7 @@
 //! through [`counting_from_env`]. While off, the allocator adds one
 //! relaxed atomic load per heap call — the same cost class as a disabled
 //! [`crate::Counter`], and within noise on the scale benches (the CI
-//! profile-overhead gate covers it).
+//! S3 profile-overhead gate covers it).
 //!
 //! # Attribution model
 //!
@@ -272,12 +272,17 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::Mutex;
+    use std::sync::{Mutex, MutexGuard};
 
-    /// Counting state is process-global; serialize the tests that flip it.
-    fn with_counting<R>(f: impl FnOnce() -> R) -> R {
+    /// Counting state is process-global; every test that flips it holds
+    /// this lock.
+    fn serialized() -> MutexGuard<'static, ()> {
         static LOCK: Mutex<()> = Mutex::new(());
-        let _g = LOCK.lock().unwrap_or_else(|e| e.into_inner());
+        LOCK.lock().unwrap_or_else(|e| e.into_inner())
+    }
+
+    fn with_counting<R>(f: impl FnOnce() -> R) -> R {
+        let _g = serialized();
         set_counting(true);
         let r = f();
         set_counting(false);
@@ -286,8 +291,7 @@ mod tests {
 
     #[test]
     fn counting_is_off_by_default_costs_nothing() {
-        // (Other tests may have counting on concurrently; only check the
-        // flag round-trip, not the totals.)
+        let _g = serialized();
         set_counting(false);
         assert!(!counting());
     }
@@ -340,6 +344,7 @@ mod tests {
         // Only exercises the parser logic indirectly: unset/0/false must
         // not enable. (Set-forms are covered by the CLI test, which owns
         // its process environment.)
+        let _g = serialized();
         set_counting(false);
         std::env::remove_var("MDG_COUNT_ALLOC");
         assert!(!counting_from_env());

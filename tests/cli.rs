@@ -1,6 +1,7 @@
 //! Integration tests for the `mdg` command-line tool, driven through the
 //! compiled binary (`CARGO_BIN_EXE_mdg`).
 
+use mobile_collectors::serve::MetricsResponse;
 use std::path::PathBuf;
 use std::process::{Command, Output};
 
@@ -510,6 +511,23 @@ fn serve_daemon_round_trip_over_a_socket() {
     assert!(out.status.success(), "{}", stderr(&out));
     assert!(text.contains("\"sessions\""), "{text}");
     assert!(text.contains("\"cli\""), "{text}");
+    // The daemon is its own process, so its obs counters count exactly
+    // the requests above.
+    let metrics: MetricsResponse = serde_json::from_str(text.trim()).expect("metrics parses");
+    assert!(
+        metrics
+            .counters
+            .iter()
+            .any(|c| c.path == "serve/requests/delta" && c.value == 1),
+        "{text}"
+    );
+    assert!(
+        metrics
+            .hists
+            .iter()
+            .any(|h| h.path == "serve/latency_us/delta" && h.count == 1),
+        "{text}"
+    );
 
     // A malformed request errors without killing the daemon (exit 1 from
     // the client, but the daemon must still answer afterwards).
@@ -523,4 +541,46 @@ fn serve_daemon_round_trip_over_a_socket() {
 
     let status = daemon.wait().expect("daemon exits");
     assert!(status.success(), "daemon must drain cleanly: {status:?}");
+}
+
+/// Record a trace with `mdg runtime --trace`, then hold `mdg replay` to
+/// its determinism contract: the self-check reproduces the recording, and
+/// a retry-budget sweep writes byte-identical divergence JSONL at 1 and 4
+/// worker threads.
+#[test]
+fn replay_self_checks_and_sweeps_identically_across_thread_counts() {
+    let trace = tmp("replay_trace.jsonl");
+    let trace = trace.to_str().unwrap();
+    let out = mdg(&[
+        "runtime", "--n", "300", "--side", "170", "--range", "30", "--seed", "42", "--rounds", "8",
+        "--deaths", "0.1", "--loss", "0.2", "--trace", trace,
+    ]);
+    assert!(out.status.success(), "{}", stderr(&out));
+
+    let out = mdg(&["replay", "--trace", trace, "--self-check"]);
+    assert!(out.status.success(), "{}", stderr(&out));
+
+    let sweep = |threads: &str| -> Vec<u8> {
+        let path = tmp(&format!("divergence_t{threads}.jsonl"));
+        let out = mdg(&[
+            "replay",
+            "--trace",
+            trace,
+            "--sweep",
+            "retry_budget=0..2",
+            "--threads",
+            threads,
+            "--out",
+            path.to_str().unwrap(),
+        ]);
+        assert!(out.status.success(), "{}", stderr(&out));
+        std::fs::read(&path).unwrap()
+    };
+    let one = sweep("1");
+    assert!(!one.is_empty(), "the sweep wrote no divergence records");
+    assert_eq!(
+        one,
+        sweep("4"),
+        "sweep output differs between 1 and 4 threads"
+    );
 }

@@ -27,7 +27,7 @@ use std::sync::{Mutex, MutexGuard, OnceLock};
 const THREAD_COUNTS: [usize; 3] = [1, 2, 8];
 
 /// Serializes tests around the process-global thread-count override.
-/// Also honors `MDG_COUNT_ALLOC` (CI's alloc-gate job re-runs this suite
+/// Also honors `MDG_COUNT_ALLOC` (CI's test job re-runs this suite
 /// under the counting allocator — counting must never change a plan).
 fn lock() -> MutexGuard<'static, ()> {
     mobile_collectors::obs::alloc::counting_from_env();

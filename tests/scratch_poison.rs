@@ -27,7 +27,7 @@ const THREAD_COUNTS: [usize; 2] = [1, 4];
 const RANGE: f64 = 30.0;
 
 /// Serializes tests around the process-global scratch/thread overrides.
-/// Also honors `MDG_COUNT_ALLOC` (CI's alloc-gate job re-runs this suite
+/// Also honors `MDG_COUNT_ALLOC` (CI's test job re-runs this suite
 /// under the counting allocator — counting must never change a plan).
 fn lock() -> MutexGuard<'static, ()> {
     mobile_collectors::obs::alloc::counting_from_env();
