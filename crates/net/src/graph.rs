@@ -59,6 +59,47 @@ impl Csr {
         }
     }
 
+    /// Adopts finished CSR arrays: row `u` is
+    /// `targets[offsets[u]..offsets[u + 1]]` (weights alongside), and
+    /// every undirected edge appears in both endpoints' rows. Applies the
+    /// checks [`Csr::from_edges`] makes on its edge list.
+    ///
+    /// # Panics
+    /// Panics if `offsets` does not start at 0, decreases, or does not end
+    /// at the entry count; if the entry count is odd or differs between
+    /// `targets` and `weights`; or if a row lists its own node or a node
+    /// `>= n`.
+    pub(crate) fn from_rows(offsets: Vec<u32>, targets: Vec<u32>, weights: Vec<f64>) -> Self {
+        assert_eq!(offsets.first(), Some(&0), "offsets must start at 0");
+        assert!(
+            offsets.windows(2).all(|w| w[0] <= w[1]),
+            "offsets must never decrease"
+        );
+        assert_eq!(
+            offsets[offsets.len() - 1] as usize,
+            targets.len(),
+            "offsets must end at the entry count"
+        );
+        assert_eq!(targets.len(), weights.len(), "one weight per entry");
+        assert!(
+            targets.len().is_multiple_of(2),
+            "each undirected edge is listed in both rows"
+        );
+        let n = offsets.len() - 1;
+        for (u, row) in offsets.windows(2).enumerate() {
+            for &v in &targets[row[0] as usize..row[1] as usize] {
+                assert!((v as usize) < n, "edge endpoint out of range");
+                assert!(v as usize != u, "self-loops are not allowed");
+            }
+        }
+        Csr {
+            n_edges: targets.len() / 2,
+            offsets,
+            targets,
+            weights,
+        }
+    }
+
     /// Number of nodes.
     #[inline]
     pub fn n(&self) -> usize {
@@ -231,5 +272,37 @@ mod tests {
     #[should_panic(expected = "out of range")]
     fn bad_endpoint_panics() {
         Csr::from_edges(2, &[(0, 2, 1.0)]);
+    }
+
+    #[test]
+    fn from_rows_adopts_from_edges_arrays() {
+        let g = sample();
+        let h = Csr::from_rows(g.offsets.clone(), g.targets.clone(), g.weights.clone());
+        assert_eq!((h.n(), h.m()), (5, 3));
+        assert!(h.has_edge(1, 3));
+    }
+
+    #[test]
+    #[should_panic(expected = "self-loops")]
+    fn from_rows_rejects_self_loops() {
+        Csr::from_rows(vec![0, 1, 2], vec![0, 0], vec![1.0, 1.0]);
+    }
+
+    #[test]
+    #[should_panic(expected = "out of range")]
+    fn from_rows_rejects_bad_endpoints() {
+        Csr::from_rows(vec![0, 1, 2], vec![2, 0], vec![1.0, 1.0]);
+    }
+
+    #[test]
+    #[should_panic(expected = "entry count")]
+    fn from_rows_rejects_offsets_short_of_the_entries() {
+        Csr::from_rows(vec![0, 1, 1], vec![1, 0], vec![1.0, 1.0]);
+    }
+
+    #[test]
+    #[should_panic(expected = "never decrease")]
+    fn from_rows_rejects_decreasing_offsets() {
+        Csr::from_rows(vec![0, 2, 1, 2], vec![1, 2, 0, 0], vec![1.0; 4]);
     }
 }

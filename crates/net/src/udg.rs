@@ -6,48 +6,180 @@
 //! sensors only (used for connectivity statistics and local aggregation
 //! structure) and one that additionally includes the sink as node
 //! `n_sensors` (used by the multi-hop routing baseline).
+//!
+//! # Row builder
+//!
+//! Each graph is written once, straight into exact-size CSR arrays, on
+//! `mdg-par`: one parallel pass counts every sensor's neighbours, a
+//! checked prefix sum turns the counts into offsets, and a fill pass
+//! writes the rows over fixed 2 048-row blocks, each block owning a
+//! disjoint slice of the arrays. The full graph takes its offsets from
+//! the sensor counts plus the sink, so only the sensor graph is counted.
+//! The graphs are bit-identical at any thread count.
+//!
+//! Row `u` lists its lower-index neighbours in ascending order, then its
+//! higher-index ones in the grid's slot order. This is the order an edge
+//! list of the pairs `i < j` in query order, scattered by
+//! [`Csr::from_edges`], produces, and it is part of the output:
+//! [`crate::bfs_tree`] (both multi-hop baselines) and CME's relay forest
+//! break BFS parent ties by neighbour order.
 
 use crate::deployment::Deployment;
 use crate::graph::Csr;
 use mdg_geom::{Point, SpatialGrid};
+use std::cmp::Ordering;
+use std::ops::Range;
+use std::sync::atomic::{self, AtomicBool};
+
+/// Rows per fill block. Fixed, so block boundaries never depend on the
+/// thread count.
+const ROW_BLOCK: usize = 2048;
 
 /// Builds the unit-disk graph over `points` with range `range`; edge weights
 /// are Euclidean distances.
 pub fn build_udg(points: &[Point], range: f64) -> Csr {
-    assert!(
-        range > 0.0 && range.is_finite(),
-        "transmission range must be positive"
-    );
-    if points.is_empty() {
-        return Csr::from_edges(0, &[]);
-    }
-    let grid = SpatialGrid::build(points, range);
-    build_udg_with_grid(points, range, &grid)
+    assert_range(range);
+    build_udg_with_grid(points, range, &SpatialGrid::build(points, range))
 }
 
-/// [`build_udg`] over a prebuilt grid indexing exactly `points` — lets
-/// callers that keep the grid around (e.g. [`Network::build`]) pay for its
-/// construction once.
-pub fn build_udg_with_grid(points: &[Point], range: f64, grid: &SpatialGrid) -> Csr {
+fn assert_range(range: f64) {
     assert!(
         range > 0.0 && range.is_finite(),
         "transmission range must be positive"
     );
+}
+
+/// [`build_udg`] over a prebuilt grid indexing exactly `points`.
+fn build_udg_with_grid(points: &[Point], range: f64, grid: &SpatialGrid) -> Csr {
     debug_assert_eq!(grid.len(), points.len(), "grid must index `points`");
+    let offsets = row_offsets(points, range, grid);
+    fill_rows(points, range, grid, offsets).expect("one grid fills its rows as it counted them")
+}
+
+/// `acc + degree`, the next CSR offset.
+///
+/// # Panics
+/// Panics if the graph holds more than `u32::MAX` adjacency entries.
+fn next_offset(acc: u32, degree: u32) -> u32 {
+    acc.checked_add(degree)
+        .expect("unit-disk graph exceeds u32::MAX adjacency entries")
+}
+
+/// CSR offsets of the unit-disk graph over `points`: one parallel pass
+/// counts each point's neighbours (itself excluded).
+fn row_offsets(points: &[Point], range: f64, grid: &SpatialGrid) -> Vec<u32> {
+    let mut offsets = vec![0u32; points.len() + 1];
+    mdg_par::par_chunks_mut(&mut offsets[1..], ROW_BLOCK, |start, degrees| {
+        for (u, degree) in (start as u32..).zip(degrees.iter_mut()) {
+            grid.for_each_within(points[u as usize], range, |j| *degree += u32::from(j != u));
+        }
+    });
+    for u in 0..points.len() {
+        offsets[u + 1] = next_offset(offsets[u], offsets[u + 1]);
+    }
+    offsets
+}
+
+/// Offsets of the full graph (the sensors, then the sink) from the sensor
+/// graph's degrees: a sensor's row gains the sink when
+/// `sink.dist_sq(p) ≤ range²`, the predicate the grid applies, and the
+/// sink's row holds every such sensor.
+fn offsets_with_sink(sensor_graph: &Csr, sensors: &[Point], sink: Point, range: f64) -> Vec<u32> {
+    let r_sq = range * range;
+    let mut offsets = Vec::with_capacity(sensors.len() + 2);
+    offsets.push(0);
+    let mut sink_degree = 0;
+    for (u, &p) in sensors.iter().enumerate() {
+        let to_sink = u32::from(sink.dist_sq(p) <= r_sq);
+        sink_degree += to_sink;
+        offsets.push(next_offset(
+            offsets[u],
+            sensor_graph.degree(u) as u32 + to_sink,
+        ));
+    }
+    offsets.push(next_offset(offsets[sensors.len()], sink_degree));
+    offsets
+}
+
+/// Fills the rows `offsets` lays out, one [`ROW_BLOCK`]-row block per
+/// task, into exact-size arrays. Returns `None` if some row's query finds
+/// a different number of neighbours than `offsets` reserved for it.
+fn fill_rows(points: &[Point], range: f64, grid: &SpatialGrid, offsets: Vec<u32>) -> Option<Csr> {
     let n = points.len();
-    let mut edges: Vec<(u32, u32, f64)> = Vec::new();
-    for (i, &p) in points.iter().enumerate() {
+    let mut targets = vec![0u32; offsets[n] as usize];
+    let mut weights = vec![0.0f64; offsets[n] as usize];
+    let exact = AtomicBool::new(true);
+    {
+        // Cut the arrays into each block's slice up front, so every task
+        // owns its output outright.
+        let mut blocks = Vec::with_capacity(n.div_ceil(ROW_BLOCK));
+        let (mut targets, mut weights) = (&mut targets[..], &mut weights[..]);
+        for start in (0..n).step_by(ROW_BLOCK) {
+            let rows = start..(start + ROW_BLOCK).min(n);
+            let len = (offsets[rows.end] - offsets[rows.start]) as usize;
+            let (t, rest) = std::mem::take(&mut targets).split_at_mut(len);
+            targets = rest;
+            let (w, rest) = std::mem::take(&mut weights).split_at_mut(len);
+            weights = rest;
+            blocks.push((rows, t, w));
+        }
+        mdg_par::par_chunks_mut(&mut blocks, 1, |_, block| {
+            let (rows, targets, weights) = &mut block[0];
+            if !fill_block(
+                points,
+                range,
+                grid,
+                &offsets,
+                rows.clone(),
+                targets,
+                weights,
+            ) {
+                exact.store(false, atomic::Ordering::Relaxed);
+            }
+        });
+    }
+    exact
+        .into_inner()
+        .then(|| Csr::from_rows(offsets, targets, weights))
+}
+
+/// Fills `rows` into the block's slices `targets`/`weights`, which start
+/// at entry `offsets[rows.start]`. Returns `false` at the first row whose
+/// query disagrees with its reserved length.
+fn fill_block(
+    points: &[Point],
+    range: f64,
+    grid: &SpatialGrid,
+    offsets: &[u32],
+    rows: Range<usize>,
+    targets: &mut [u32],
+    weights: &mut [f64],
+) -> bool {
+    let base = offsets[rows.start] as usize;
+    let (mut lower, mut higher) = (Vec::new(), Vec::new());
+    for u in rows {
+        lower.clear();
+        higher.clear();
         // The grid hands the squared distance back from its (SoA,
         // contiguous) scan; `d_sq.sqrt()` is bit-identical to
         // `p.dist(points[j])` because `dist` is defined as
         // `dist_sq().sqrt()` and squaring is sign-symmetric.
-        grid.for_each_within_d(p, range, |j, d_sq| {
-            if (i as u32) < j {
-                edges.push((i as u32, j, d_sq.sqrt()));
-            }
+        grid.for_each_within_d(points[u], range, |j, d_sq| match (j as usize).cmp(&u) {
+            Ordering::Less => lower.push((j, d_sq.sqrt())),
+            Ordering::Greater => higher.push((j, d_sq.sqrt())),
+            Ordering::Equal => {}
         });
+        let row = offsets[u] as usize - base..offsets[u + 1] as usize - base;
+        if lower.len() + higher.len() != row.len() {
+            return false;
+        }
+        lower.sort_unstable_by_key(|&(j, _)| j);
+        for (k, &(j, w)) in row.zip(lower.iter().chain(&higher)) {
+            targets[k] = j;
+            weights[k] = w;
+        }
     }
-    Csr::from_edges(n, &edges)
+    true
 }
 
 /// A sensor network: deployment + transmission range + adjacency.
@@ -67,23 +199,30 @@ pub struct Network {
     /// ([`Network::sensors_within_range_of`]) cost `O(local density)`
     /// instead of `O(n)` — those queries run once per stop per repair
     /// round in the online runtime.
-    grid: Option<SpatialGrid>,
+    grid: SpatialGrid,
 }
 
 impl Network {
     /// Builds the network graphs for `deployment` with transmission range
     /// `range`.
     pub fn build(deployment: Deployment, range: f64) -> Self {
-        let (sensor_graph, grid) = if deployment.sensors.is_empty() {
-            (Csr::from_edges(0, &[]), None)
-        } else {
-            let grid = SpatialGrid::build(&deployment.sensors, range);
-            let graph = build_udg_with_grid(&deployment.sensors, range, &grid);
-            (graph, Some(grid))
-        };
-        let mut all: Vec<Point> = deployment.sensors.clone();
+        assert_range(range);
+        let sensors = &deployment.sensors;
+        let grid = SpatialGrid::build(sensors, range);
+        let sensor_graph = build_udg_with_grid(sensors, range, &grid);
+        // The full graph is filled from its own grid: that grid's slot
+        // order fixes the order of each row's higher-index neighbours.
+        let mut all = Vec::with_capacity(sensors.len() + 1);
+        all.extend_from_slice(sensors);
         all.push(deployment.sink);
-        let full_graph = build_udg(&all, range);
+        let full_grid = SpatialGrid::build(&all, range);
+        let offsets = offsets_with_sink(&sensor_graph, sensors, deployment.sink, range);
+        // The derived offsets assume both grids find the same sensor
+        // pairs. A pair within an ulp of the range can straddle the cell
+        // boundaries of one grid and not the other's; the full grid then
+        // counts its own rows.
+        let full_graph = fill_rows(&all, range, &full_grid, offsets)
+            .unwrap_or_else(|| build_udg_with_grid(&all, range, &full_grid));
         Network {
             deployment,
             range,
@@ -130,11 +269,7 @@ impl Network {
     /// per round; reusing the buffer keeps the steady state off the
     /// allocator.
     pub fn sensors_within_range_of_into(&self, p: Point, out: &mut Vec<u32>) {
-        out.clear();
-        let Some(grid) = &self.grid else {
-            return;
-        };
-        grid.neighbors_within_into(p, self.range, out);
+        self.grid.neighbors_within_into(p, self.range, out);
         out.sort_unstable();
     }
 

@@ -27,6 +27,7 @@ use mobile_collectors::core::{fleet, PlanMetrics, PlannerConfig, ShdgPlanner};
 use mobile_collectors::net::{DeploymentConfig, Network, TopologyStats};
 use mobile_collectors::prelude::*;
 use mobile_collectors::render::{render_plan_svg, RenderOptions};
+use mobile_collectors::serve::MAX_COORD;
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use std::path::PathBuf;
@@ -241,7 +242,37 @@ fn load_bundle(flags: &Flags) -> Result<PlanBundle, String> {
     let path: PathBuf = req(flags, "bundle")?;
     let text = std::fs::read_to_string(&path)
         .map_err(|e| format!("cannot read {}: {e}", path.display()))?;
-    serde_json::from_str(&text).map_err(|e| format!("bad bundle {}: {e}", path.display()))
+    let bundle: PlanBundle =
+        serde_json::from_str(&text).map_err(|e| format!("bad bundle {}: {e}", path.display()))?;
+    check_bundle(&bundle).map_err(|e| format!("bad bundle {}: {e}", path.display()))?;
+    Ok(bundle)
+}
+
+/// The daemon's rules for a `plan` request, applied to a bundle read from
+/// disk: the range is positive, finite and at most `MAX_COORD`, and every
+/// position is finite and within ±`MAX_COORD`.
+fn check_bundle(bundle: &PlanBundle) -> Result<(), String> {
+    let range = bundle.range;
+    if !(range.is_finite() && range > 0.0) {
+        return Err(format!("range must be positive, got {range}"));
+    }
+    if range > MAX_COORD {
+        return Err(format!("range {range} exceeds the {MAX_COORD:e} m bound"));
+    }
+    let in_bounds = |p: &Point| {
+        p.x.is_finite() && p.y.is_finite() && p.x.abs() <= MAX_COORD && p.y.abs() <= MAX_COORD
+    };
+    if !bundle.deployment.sensors.iter().all(in_bounds) {
+        return Err(format!(
+            "sensor positions must be finite and within ±{MAX_COORD:e} m"
+        ));
+    }
+    if !in_bounds(&bundle.deployment.sink) {
+        return Err(format!(
+            "sink position must be finite and within ±{MAX_COORD:e} m"
+        ));
+    }
+    Ok(())
 }
 
 fn cmd_plan(flags: &Flags) -> Result<(), String> {

@@ -260,6 +260,69 @@ fn errors_are_reported_cleanly() {
 }
 
 #[test]
+fn malformed_bundles_are_rejected_cleanly() {
+    // A hand-edited bundle gets the daemon's `plan` checks: `error: …` and
+    // exit 1, never a panic inside the graph build.
+    let good = tmp("malformed_src.json");
+    let out = mdg(&[
+        "plan",
+        "--n",
+        "30",
+        "--side",
+        "100",
+        "--range",
+        "30",
+        "--out",
+        good.to_str().unwrap(),
+    ]);
+    assert!(out.status.success(), "{}", stderr(&out));
+    let base = std::fs::read_to_string(&good).unwrap();
+    assert!(base.contains("\"range\": 30.0"), "{base}");
+    let svg = tmp("malformed.svg");
+    type Edit = fn(&str) -> String;
+    let cases: [(&str, Edit, &str); 3] = [
+        (
+            "range_zero",
+            |b| b.replace("\"range\": 30.0", "\"range\": 0"),
+            "range must be positive",
+        ),
+        (
+            "range_negative",
+            |b| b.replace("\"range\": 30.0", "\"range\": -5"),
+            "range must be positive",
+        ),
+        (
+            // The first `"x"` in the file is sensor 0's.
+            "far_sensor",
+            |b| {
+                let x = b.find("\"x\": ").unwrap() + 5;
+                let end = x + b[x..].find(',').unwrap();
+                format!("{}1e13{}", &b[..x], &b[end..])
+            },
+            "sensor positions must be finite and within",
+        ),
+    ];
+    for (name, edit, expected) in cases {
+        let path = tmp(&format!("{name}.json"));
+        std::fs::write(&path, edit(&base)).unwrap();
+        let path = path.to_str().unwrap();
+        for cmd in [
+            vec!["simulate", "--bundle", path],
+            vec!["fleet", "--bundle", path, "--k", "2"],
+            vec!["render", "--bundle", path, "--out", svg.to_str().unwrap()],
+        ] {
+            let out = mdg(&cmd);
+            let err = stderr(&out);
+            assert_eq!(out.status.code(), Some(1), "{name} {cmd:?}: {err}");
+            assert!(
+                err.starts_with("error: bad bundle") && err.contains(expected),
+                "{name} {cmd:?}: {err}"
+            );
+        }
+    }
+}
+
+#[test]
 fn export_ilp_writes_a_model() {
     let lp = tmp("model.lp");
     let out = mdg(&[

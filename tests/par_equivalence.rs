@@ -15,12 +15,20 @@
 //! Thread counts are driven through `mdg_par::set_threads`, which is
 //! process-global — every test that touches it serializes on [`lock`].
 //!
+//! The planner's input is held to the same standard: `Network::build`
+//! fills both unit-disk graphs in parallel, so the graph tests require
+//! the same nodes, edges and per-row `(target, weight bits)` at every
+//! thread count as the edge-list construction the row builder replaced
+//! (kept here as the oracle). Row order matters: BFS parents, and with
+//! them both multi-hop baselines, break ties by neighbour order.
+//!
 //! The scratch-arena variant of this invariant — the same field set
 //! re-planned under pool poisoning, arenas on vs off — lives in
 //! `tests/scratch_poison.rs`.
 
 use mobile_collectors::core::{CoveringStrategy, GatheringPlan, PlannerConfig, ShdgPlanner};
-use mobile_collectors::net::{DeploymentConfig, Network};
+use mobile_collectors::geom::{Aabb, Point, SpatialGrid};
+use mobile_collectors::net::{Csr, Deployment, DeploymentConfig, Network, SinkPlacement, Topology};
 use mobile_collectors::par;
 use std::sync::{Mutex, MutexGuard, OnceLock};
 
@@ -165,4 +173,143 @@ fn env_thread_override_is_respected() {
     assert_eq!(par::threads(), 1);
     par::set_threads(0);
     assert!(par::threads() >= 1);
+}
+
+/// The unit-disk graph as the edge-list construction built it: every pair
+/// `i < j` in grid query order, scattered into rows by `Csr::from_edges`.
+fn reference_udg(points: &[Point], range: f64) -> Csr {
+    if points.is_empty() {
+        return Csr::from_edges(0, &[]);
+    }
+    let grid = SpatialGrid::build(points, range);
+    let mut edges = Vec::new();
+    for (i, &p) in points.iter().enumerate() {
+        grid.for_each_within_d(p, range, |j, d_sq| {
+            if (i as u32) < j {
+                edges.push((i as u32, j, d_sq.sqrt()));
+            }
+        });
+    }
+    Csr::from_edges(points.len(), &edges)
+}
+
+fn row(g: &Csr, u: usize) -> Vec<(u32, u64)> {
+    g.neighbors_weighted(u)
+        .map(|(v, w)| (v, w.to_bits()))
+        .collect()
+}
+
+fn assert_same_graph(got: &Csr, want: &Csr, label: &str) {
+    assert_eq!(got.n(), want.n(), "{label}: node count");
+    assert_eq!(got.m(), want.m(), "{label}: edge count");
+    for u in 0..want.n() {
+        assert_eq!(row(got, u), row(want, u), "{label}: row {u}");
+    }
+}
+
+/// Builds `dep`'s network at every thread count and compares both graphs
+/// with the edge-list oracle, row by row and bit by bit.
+fn assert_graphs_match_reference(dep: &Deployment, range: f64, label: &str) {
+    let sensors = reference_udg(&dep.sensors, range);
+    let mut all = dep.sensors.clone();
+    all.push(dep.sink);
+    let full = reference_udg(&all, range);
+    for &t in &THREAD_COUNTS {
+        par::set_threads(t);
+        let net = Network::build(dep.clone(), range);
+        par::set_threads(0);
+        assert_same_graph(
+            &net.sensor_graph,
+            &sensors,
+            &format!("{label} sensors, {t} threads"),
+        );
+        assert_same_graph(
+            &net.full_graph,
+            &full,
+            &format!("{label} full, {t} threads"),
+        );
+    }
+}
+
+fn sink_placements(side: f64) -> [(SinkPlacement, &'static str); 3] {
+    [
+        (SinkPlacement::Center, "centre sink"),
+        (SinkPlacement::Corner, "corner sink"),
+        (
+            SinkPlacement::At(Point::new(-0.4 * side, 1.3 * side)),
+            "outside sink",
+        ),
+    ]
+}
+
+#[test]
+fn graphs_bit_identical_to_the_edge_list_build_across_thread_counts() {
+    let _g = lock();
+    // Below, at and above the grid's 64-cell floor (4 cells per point),
+    // then past one 2 048-row fill block.
+    for n in [0, 1, 2, 15, 16, 17, 5_000] {
+        let side = if n > 100 { 700.0 } else { 100.0 };
+        for (sink, where_) in sink_placements(side) {
+            let cfg = DeploymentConfig {
+                sink,
+                ..DeploymentConfig::uniform(n, side)
+            };
+            let dep = cfg.generate(n as u64 + 3);
+            assert_graphs_match_reference(&dep, 30.0, &format!("n={n}, {where_}"));
+        }
+    }
+    // Clustered: dense cells next to empty ones, over three blocks.
+    let clusters = DeploymentConfig {
+        field_side: 900.0,
+        sink: SinkPlacement::Corner,
+        topology: Topology::GaussianClusters {
+            clusters: 6,
+            per_cluster: 900,
+            sigma: 40.0,
+        },
+    };
+    assert_graphs_match_reference(&clusters.generate(11), 30.0, "clusters");
+}
+
+#[test]
+fn graphs_bit_identical_at_extreme_ranges_and_colocated_sensors() {
+    let _g = lock();
+    let dep = DeploymentConfig::uniform(300, 300.0).generate(21);
+    // A 1 mm range: the grid's cell-count cap binds, almost no edges.
+    assert_graphs_match_reference(&dep, 0.001, "0.001 m range");
+    // A range wider than the field: a complete graph in one cell.
+    assert_graphs_match_reference(&dep, 500.0, "range wider than the field");
+    // Co-located sensors: zero-weight edges, identical grid slots.
+    let mut stacked = dep.clone();
+    stacked.sensors = dep.sensors[..100]
+        .iter()
+        .flat_map(|&p| [p, p, p])
+        .chain(std::iter::repeat_n(Point::new(150.0, 150.0), 40))
+        .collect();
+    stacked.sink = Point::new(150.0, 150.0);
+    assert_graphs_match_reference(&stacked, 30.0, "co-located sensors");
+}
+
+#[test]
+fn graphs_bit_identical_where_the_two_grids_disagree() {
+    let _g = lock();
+    // Sensors 1 and 2 are exactly one range apart in floating point
+    // (2 - (1 - 2⁻⁵³) rounds to 1). The sensor grid puts them two cells
+    // apart and never pairs them; the full grid, shifted by the sink at
+    // x = -0.5, puts them in adjacent cells and does. The full graph's
+    // rows then differ from the sensor graph's plus the sink.
+    let dep = Deployment {
+        sensors: vec![
+            Point::new(0.0, 0.0),
+            Point::new(1.0 - f64::EPSILON / 2.0, 0.0),
+            Point::new(2.0, 0.0),
+        ],
+        sink: Point::new(-0.5, 0.0),
+        field: Aabb::square(2.0),
+    };
+    let mut all = dep.sensors.clone();
+    all.push(dep.sink);
+    assert!(!reference_udg(&dep.sensors, 1.0).has_edge(1, 2));
+    assert!(reference_udg(&all, 1.0).has_edge(1, 2));
+    assert_graphs_match_reference(&dep, 1.0, "grids disagree");
 }
