@@ -61,15 +61,22 @@ impl SpatialGrid {
         let origin = bb.min;
         // Cap the cell count at ~4 buckets per point: a cell far smaller
         // than the point spacing only wastes memory (a 1 mm radio range
-        // over a 300 m field must not allocate 10¹¹ buckets). Queries stay
-        // correct for any cell size because the scan radius is computed
-        // from `radius / cell`.
+        // over a 300 m field must not allocate 10¹¹ buckets). The area
+        // bound alone vanishes on a collinear field (zero area), so each
+        // axis is bounded too; together they keep the lattice under
+        // `3 · max_cells + 1` buckets. Queries stay correct for any cell
+        // size because the scan radius is computed from `radius / cell`.
         let max_cells = (4 * points.len()).max(64);
         let min_cell = (bb.width().max(1e-12) * bb.height().max(1e-12) / max_cells as f64).sqrt();
-        let cell = cell.max(min_cell);
+        let cell = cell
+            .max(min_cell)
+            .max(bb.width() / max_cells as f64)
+            .max(bb.height() / max_cells as f64);
         let cols = ((bb.width() / cell).floor() as usize + 1).max(1);
         let rows = ((bb.height() / cell).floor() as usize + 1).max(1);
-        let ncells = cols * rows;
+        let ncells = cols
+            .checked_mul(rows)
+            .expect("grid cell count is bounded by the point count");
 
         // Two-pass counting sort into CSR buckets.
         let mut counts = vec![0u32; ncells + 1];
@@ -352,6 +359,31 @@ mod tests {
         assert_eq!(grid.nearest(Point::ORIGIN), Some(0));
         assert_eq!(grid.neighbors_within(Point::ORIGIN, 5.0), vec![0]);
         assert!(grid.neighbors_within(Point::ORIGIN, 4.9).is_empty());
+    }
+
+    #[test]
+    fn collinear_points_keep_the_grid_linear() {
+        // 600 points on a line, 60 m apart, with a nanometre cell: the
+        // area-only cap vanished on zero area and asked for 37 GB.
+        let pts: Vec<Point> = (0..600).map(|i| Point::new(i as f64 * 60.0, 0.0)).collect();
+        let grid = SpatialGrid::build(&pts, 1e-9);
+        let max_cells = 4 * pts.len();
+        assert!(grid.cols * grid.rows <= 3 * max_cells + 1);
+        assert_eq!(grid.len(), 600);
+        let mut near = grid.neighbors_within(Point::new(120.0, 0.0), 60.0);
+        near.sort_unstable();
+        assert_eq!(near, vec![1, 2, 3]);
+        assert_eq!(grid.nearest(Point::new(1000.0, 5.0)), Some(17));
+        assert_eq!(
+            grid.k_nearest(Point::new(0.0, 0.0), 3, Some(0)),
+            vec![1, 2, 3]
+        );
+
+        // The same line on the y axis.
+        let pts: Vec<Point> = pts.iter().map(|p| Point::new(0.0, p.x)).collect();
+        let grid = SpatialGrid::build(&pts, 1e-9);
+        assert!(grid.cols * grid.rows <= 3 * max_cells + 1);
+        assert_eq!(grid.nearest(Point::new(5.0, 1000.0)), Some(17));
     }
 
     #[test]

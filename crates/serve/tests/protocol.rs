@@ -358,3 +358,27 @@ fn hostile_coordinates_get_structured_errors_and_the_session_survives() {
     server.shutdown();
     server.join();
 }
+
+#[test]
+fn a_collinear_field_plans_without_aborting_the_daemon() {
+    // 600 sensors on a line, 60 m apart at range 30: every sensor is its
+    // own stop, so the 601-vertex tour takes the neighbor-list path. Its
+    // k-NN grid used to size cells by the field's (zero) area, asked for
+    // ~37 GB and aborted the whole process.
+    let server = start(ServeConfig::default());
+    let mut client = Client::connect(server.local_addr()).unwrap();
+    let sensors: Vec<Point> = (0..600).map(|i| Point::new(i as f64 * 60.0, 0.0)).collect();
+    let summary = client
+        .plan_sensors("line", sensors.clone(), None, 30.0)
+        .expect("transport")
+        .expect("plan accepted");
+    assert!(summary.ok);
+    assert_eq!(summary.polling_points, 600);
+    assert!((summary.tour_m - 2.0 * 599.0 * 60.0).abs() < 1e-6);
+    let metrics = client.metrics().expect("transport").expect("metrics");
+    assert!(metrics.ok);
+    let got = client.get_plan("line").unwrap().unwrap();
+    got.plan.validate(&sensors, 30.0).unwrap();
+    server.shutdown();
+    server.join();
+}
