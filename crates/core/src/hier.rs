@@ -11,9 +11,12 @@
 //!    tiles sized so each holds roughly [`HierConfig::target_per_tile`]
 //!    sensors (or explicitly via [`HierConfig::tile_cells`]).
 //! 2. **Per-tile planning** — every non-empty tile runs the flat
-//!    pipeline (cover → prune → tour) on a *tile-local* sensor-site
-//!    instance, in parallel across tiles on `mdg-par`. Costs are
-//!    quadratic in the tile, not the field.
+//!    planner's own cover → prune → tour → assign pipeline on a
+//!    *tile-local* sensor-site instance, in parallel across tiles on
+//!    `mdg-par`. Two inputs differ from a flat plan: cover ties break
+//!    toward the tile center instead of the sink, and the sink is not a
+//!    tour vertex (the tile is toured as a cycle over its own stops).
+//!    Costs are quadratic in the tile, not the field.
 //! 3. **Stitching** — sub-tours are concatenated in serpentine tile
 //!    order: each is opened at its longest edge and oriented to shorten
 //!    the seam; tiles with fewer than three stops are spliced into the
@@ -29,10 +32,10 @@
 //! sensors, and each tile's pre-stitch sub-tour — is retained in
 //! [`HierPlan`], which makes deltas local: a sensor death or addition
 //! dirties only the tile that owns its position ([`mdg_geom::Tiling::tile_of`]),
-//! [`HierPlan::apply_delta`] re-runs cover → prune → tour on the dirty
-//! tiles only, re-stitches from the retained sub-tours (an `O(stops)`
-//! concatenation), and re-polishes only the seams adjacent to dirty
-//! tiles. When a delta dirties at least half the occupied tiles — or
+//! [`HierPlan::apply_delta`] re-runs cover → prune → tour → assign on
+//! the dirty tiles only, re-stitches from the retained sub-tours (an
+//! `O(stops)` concatenation), and re-polishes only the seams adjacent to
+//! dirty tiles. When a delta dirties at least half the occupied tiles — or
 //! changes the transmission range, which invalidates every cover — the
 //! incremental path escalates to a full re-plan.
 //!
@@ -58,20 +61,14 @@
 use crate::error::PlanError;
 use crate::mutate::UNASSIGNED;
 use crate::plan::{GatheringPlan, PollingPoint};
-use crate::planner::{CandidateMode, CoveringStrategy, PlannerConfig};
-use crate::tour_aware::{tour_aware_cover, TourAwareConfig};
-use mdg_cover::{capacitated_greedy_cover, greedy_cover, prune_cover, CoverageInstance};
+use crate::planner::{plan_stops, CandidateMode, PlannerConfig};
+use mdg_cover::CoverageInstance;
 use mdg_geom::{Point, Tiling};
 use mdg_net::Network;
 use mdg_tour::{
-    cheapest_insertion_position, improve, improve_neighbors, or_opt_neighbors_seeded,
-    two_opt_neighbors_seeded, ImproveConfig, MatrixCost, NeighborLists, Tour,
+    cheapest_insertion_position, or_opt_neighbors_seeded, two_opt_neighbors_seeded, NeighborLists,
+    Tour,
 };
-
-/// Stop count (including the sink) above which a tile's tour switches
-/// from the dense matrix pipeline to neighbor-list local search — same
-/// threshold as the flat planner.
-const DENSE_TOUR_LIMIT: usize = 512;
 
 /// Neighbors per city in the seam touch-up's candidate lists. Seam
 /// repairs are local, so a short list suffices.
@@ -204,11 +201,6 @@ impl HierPlanner {
         )
         .map(HierPlan::into_plan_and_stats)
     }
-}
-
-/// Convenience: hierarchical plan with the default configuration.
-pub fn plan_hier(net: &Network) -> Result<GatheringPlan, PlanError> {
-    HierPlanner::new().plan(net)
 }
 
 /// A retained hierarchical plan: the finished [`GatheringPlan`] plus the
@@ -356,10 +348,10 @@ impl HierPlan {
     /// ids past the previous length are taken as newly added (and must be
     /// alive); `died` lists the ids newly marked dead (already-dead ids
     /// are tolerated and ignored). Deaths and additions dirty the owning
-    /// tile of their position; dirty tiles re-run cover → prune → tour in
-    /// serpentine order on `mdg-par`, the cycle is re-stitched from the
-    /// retained sub-tours, and the seam touch-up is seeded only at seams
-    /// adjacent to dirty tiles. If at least half the occupied tiles are
+    /// tile of their position; dirty tiles re-run cover → prune → tour →
+    /// assign in serpentine order on `mdg-par`, the cycle is re-stitched
+    /// from the retained sub-tours, and the seam touch-up is seeded only
+    /// at seams adjacent to dirty tiles. If at least half the occupied tiles are
     /// dirty — or the range changed, which invalidates every tile's
     /// cover — the whole plan is rebuilt (fresh tiling included), exactly
     /// like [`HierPlan::build`] on the live field.
@@ -750,8 +742,9 @@ fn plan_all_tiles(
     tiles
 }
 
-/// Plans one tile: local cover → prune → cycle → assignment, mirroring
-/// the flat pipeline on a subset instance anchored at the tile center.
+/// Plans one tile: `plan_stops` over a tile-local sensor-site instance
+/// (always feasible: each sensor covers itself), anchored at the tile
+/// center with no depot, mapped back to global sensor ids.
 fn plan_tile(
     sensors: &[Point],
     subset: &[u32],
@@ -762,123 +755,12 @@ fn plan_tile(
     let mut sp = mdg_obs::span("tile");
     sp.add_items(subset.len() as u64);
     let inst = CoverageInstance::sensor_sites_subset(sensors, subset, range);
-
-    // Cover. Sensor-site instances are always feasible (each sensor
-    // covers itself), so the selection never fails. Ties break toward
-    // the tile center — the local stand-in for the flat planner's sink.
-    let (mut selected, cap_assign): (Vec<usize>, Option<Vec<usize>>) =
-        if let Some(cap) = base.max_sensors_per_pp {
-            let cover =
-                capacitated_greedy_cover(&inst, cap, |c| inst.candidates[c].pos.dist_sq(anchor))
-                    .expect("sensor-site candidates are always feasible");
-            (cover.selected, Some(cover.assignment))
-        } else {
-            let sel = match base.covering {
-                CoveringStrategy::Greedy => {
-                    greedy_cover(&inst, |c| inst.candidates[c].pos.dist_sq(anchor))
-                        .expect("sensor-site candidates are always feasible")
-                }
-                CoveringStrategy::TourAware { insertion_weight } => {
-                    let cfg = TourAwareConfig {
-                        insertion_weight,
-                        ..TourAwareConfig::default()
-                    };
-                    tour_aware_cover(&inst, anchor, &cfg)
-                        .expect("sensor-site candidates are always feasible")
-                        .selected
-                }
-            };
-            (sel, None)
-        };
-
-    // Prune (uncapacitated only, like the flat planner), prioritized by
-    // each stop's removal gain in a preliminary tile cycle.
-    if cap_assign.is_none() && base.prune && selected.len() > 1 {
-        let prelim = cycle_over(&inst, &selected, 0);
-        let mut pts: Vec<Point> = mdg_par::scratch::take_cap(prelim.len());
-        pts.extend(prelim.iter().map(|&c| inst.candidates[c].pos));
-        let m = pts.len();
-        let order_of: std::collections::HashMap<usize, usize> =
-            prelim.iter().enumerate().map(|(k, &c)| (c, k)).collect();
-        let mut gains: Vec<f64> = mdg_par::scratch::take_cap(m);
-        gains.extend((0..m).map(|i| {
-            let prev = pts[(i + m - 1) % m];
-            let next = pts[(i + 1) % m];
-            prev.dist(pts[i]) + pts[i].dist(next) - prev.dist(next)
-        }));
-        selected = prune_cover(&inst, &selected, |c| {
-            order_of.get(&c).map_or(0.0, |&k| gains[k])
-        });
-        mdg_par::scratch::put(pts);
-        mdg_par::scratch::put(gains);
-    }
-
-    // Final cycle over the tile's stops.
-    let cycle_sel = cycle_over(&inst, &selected, base.improve_passes);
-
-    // Tile-local assignment, remapped to cycle order.
-    let assign: Vec<usize> = match cap_assign {
-        Some(a) => {
-            // `a[t]` indexes the pre-tour selection; the tour reordered it.
-            let pos_of: std::collections::HashMap<usize, usize> =
-                cycle_sel.iter().enumerate().map(|(k, &c)| (c, k)).collect();
-            a.iter().map(|&k| pos_of[&selected[k]]).collect()
-        }
-        None => inst.assign(&cycle_sel).expect("selection is a cover"),
-    };
+    let (tour, assignment) = plan_stops(&inst, anchor, None, base);
     TilePlan {
-        stops: cycle_sel.iter().map(|&c| inst.candidates[c].pos).collect(),
-        cands: cycle_sel.iter().map(|&c| subset[c]).collect(),
-        chosen: assign.iter().map(|&k| subset[cycle_sel[k]]).collect(),
+        stops: tour.iter().map(|&c| inst.candidates[c].pos).collect(),
+        cands: tour.iter().map(|&c| subset[c]).collect(),
+        chosen: assignment.iter().map(|&k| subset[tour[k]]).collect(),
     }
-}
-
-/// Cycle over the selected tile candidates (no depot), in the same
-/// dense/sparse regimes as the flat planner. Returns candidate ids in
-/// cycle order, rotated so `selected[0]` leads (deterministic).
-fn cycle_over(inst: &CoverageInstance, selected: &[usize], improve_passes: usize) -> Vec<usize> {
-    let m = selected.len();
-    if m <= 2 {
-        return selected.to_vec();
-    }
-    let mut pts: Vec<Point> = mdg_par::scratch::take_cap(m);
-    pts.extend(selected.iter().map(|&c| inst.candidates[c].pos));
-    let tour = if m <= DENSE_TOUR_LIMIT {
-        let cost = MatrixCost::from_points(&pts);
-        let tour = mdg_tour::cheapest_insertion(&cost);
-        if improve_passes > 0 {
-            improve(
-                &cost,
-                tour,
-                &ImproveConfig {
-                    max_passes: improve_passes,
-                    ..ImproveConfig::default()
-                },
-            )
-        } else {
-            tour.normalized()
-        }
-    } else {
-        let cost = mdg_tour::EuclideanCost::new(&pts);
-        let tour = mdg_tour::cheapest_insertion(&cost);
-        if improve_passes > 0 {
-            let nl = NeighborLists::build(&pts, 10);
-            improve_neighbors(
-                &pts,
-                tour,
-                &ImproveConfig {
-                    max_passes: improve_passes,
-                    ..ImproveConfig::default()
-                },
-                &nl,
-            )
-        } else {
-            tour.normalized()
-        }
-    };
-    let out = tour.order().iter().map(|&i| selected[i]).collect();
-    mdg_par::scratch::put(pts);
-    out
 }
 
 /// Concatenates tile sub-tours into one depot-anchored cycle.
@@ -972,7 +854,7 @@ fn stitch(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::planner::ShdgPlanner;
+    use crate::planner::{CoveringStrategy, ShdgPlanner};
     use mdg_net::DeploymentConfig;
 
     fn net(n: usize, side: f64, seed: u64) -> Network {
@@ -1029,17 +911,17 @@ mod tests {
     #[test]
     fn empty_and_tiny_networks() {
         let empty = Network::build(DeploymentConfig::uniform(0, 100.0).generate(1), 30.0);
-        let plan = plan_hier(&empty).unwrap();
+        let plan = HierPlanner::new().plan(&empty).unwrap();
         assert_eq!(plan.n_polling_points(), 0);
         assert_eq!(plan.tour_length, 0.0);
 
         let one = Network::build(DeploymentConfig::uniform(1, 100.0).generate(1), 30.0);
-        let plan = plan_hier(&one).unwrap();
+        let plan = HierPlanner::new().plan(&one).unwrap();
         plan.validate(&one.deployment.sensors, one.range).unwrap();
         assert_eq!(plan.n_polling_points(), 1);
 
         let three = Network::build(DeploymentConfig::uniform(3, 400.0).generate(2), 30.0);
-        let plan = plan_hier(&three).unwrap();
+        let plan = HierPlanner::new().plan(&three).unwrap();
         plan.validate(&three.deployment.sensors, three.range)
             .unwrap();
     }

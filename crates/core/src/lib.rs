@@ -19,11 +19,18 @@
 //!
 //! * [`ShdgPlanner`] — the heuristic planner: greedy or **tour-aware**
 //!   covering, redundancy pruning against the actual tour, and 2-opt/Or-opt
-//!   tour polishing. Produces a [`GatheringPlan`].
+//!   tour polishing. Produces a [`GatheringPlan`] from a network
+//!   ([`ShdgPlanner::plan`]) or from a prebuilt coverage instance
+//!   ([`ShdgPlanner::plan_instance`]).
 //! * [`hier::HierPlanner`] — the hierarchical tiled planner for very
-//!   large fields: tile the field, run the flat pipeline per tile in
-//!   parallel, stitch the sub-tours, and polish the seams. Plans
+//!   large fields: tile the field, run the flat planner's pipeline per
+//!   tile in parallel, stitch the sub-tours, and polish the seams. Plans
 //!   million-sensor fields that the flat planner cannot reach.
+//!
+//! The cover → prune → tour → assign pipeline exists once, in
+//! [`planner`]: a flat plan runs it from the sink over the whole field,
+//! and every hier tile runs it over the tile's sensors with cover ties
+//! broken toward the tile center and no depot in the tour.
 //! * [`exact`] — an exact SHDGP solver for small instances (enumerates
 //!   inclusion-minimal covers with a convex-hull tour lower bound, solving
 //!   each tour with Held–Karp), substituting the paper's CPLEX baseline.
@@ -49,12 +56,12 @@ pub use fleet::{
     plan_fleet, plan_fleet_angular, plan_fleet_best, plan_fleet_for_deadline, plan_fleet_hier,
     plan_fleet_streamed, CollectorTour, FleetPlan,
 };
-pub use hier::{plan_hier, HierConfig, HierDeltaReport, HierPlan, HierPlanner, HierStats};
+pub use hier::{HierConfig, HierDeltaReport, HierPlan, HierPlanner, HierStats};
 pub use ilp::{check_plan_against_ilp, IlpInstance};
 pub use metrics::PlanMetrics;
 pub use mutate::UNASSIGNED;
 pub use plan::{GatheringPlan, PollingPoint};
-pub use planner::{plan_default, CandidateMode, CoveringStrategy, PlannerConfig, ShdgPlanner};
+pub use planner::{CandidateMode, CoveringStrategy, PlannerConfig, ShdgPlanner};
 pub use tour_aware::{
     tour_aware_cover, tour_aware_cover_reference, TourAwareConfig, TourAwareCover,
 };

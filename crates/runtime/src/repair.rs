@@ -25,7 +25,7 @@
 
 use mdg_core::{GatheringPlan, PlannerConfig, PollingPoint, ShdgPlanner, UNASSIGNED};
 use mdg_cover::{greedy_cover_restricted, CoverageInstance};
-use mdg_net::{Deployment, Network};
+use mdg_net::Network;
 use mdg_tour::{cheapest_insertion_position, improve, ImproveConfig, MatrixCost, Tour};
 use serde::{Deserialize, Serialize};
 
@@ -268,7 +268,7 @@ pub fn repair_plan(
     report
 }
 
-/// Plans the surviving sub-network from scratch and maps the result back
+/// Plans the surviving sensors from scratch and maps the result back
 /// onto global sensor ids.
 fn full_replan(
     plan: &mut GatheringPlan,
@@ -278,7 +278,9 @@ fn full_replan(
     report: &mut RepairReport,
 ) {
     report.full_replan = true;
-    let live_ids: Vec<usize> = (0..net.n_sensors()).filter(|&s| alive[s]).collect();
+    let live_ids: Vec<u32> = (0..net.n_sensors() as u32)
+        .filter(|&s| alive[s as usize])
+        .collect();
     report.ops += (live_ids.len() * live_ids.len()) as u64;
     let mut assignment = vec![UNASSIGNED; net.n_sensors()];
     if live_ids.is_empty() {
@@ -286,39 +288,25 @@ fn full_replan(
         return;
     }
 
-    let sub = Network::build(
-        Deployment {
-            sensors: live_ids
-                .iter()
-                .map(|&s| net.deployment.sensors[s])
-                .collect(),
-            sink: net.deployment.sink,
-            field: net.deployment.field,
-        },
-        net.range,
-    );
+    let sub = CoverageInstance::sensor_sites_subset(&net.deployment.sensors, &live_ids, net.range);
     let sub_plan = ShdgPlanner::with_config(PlannerConfig {
         improve_passes: cfg.improve_passes.max(1) * 8,
         ..PlannerConfig::default()
     })
-    .plan(&sub)
+    .plan_instance(&sub, net.deployment.sink)
     .expect("sensor-site candidates are always feasible");
 
-    // Remap local (sub-network) ids back to global ids.
+    // Remap local (subset) ids back to global ids.
     for (local, &pp) in sub_plan.assignment.iter().enumerate() {
-        assignment[live_ids[local]] = pp;
+        assignment[live_ids[local] as usize] = pp;
     }
     let polling_points: Vec<PollingPoint> = sub_plan
         .polling_points
         .into_iter()
         .map(|pp| PollingPoint {
             pos: pp.pos,
-            candidate: live_ids[pp.candidate],
-            covered: pp
-                .covered
-                .iter()
-                .map(|&s| live_ids[s as usize] as u32)
-                .collect(),
+            candidate: live_ids[pp.candidate] as usize,
+            covered: pp.covered.iter().map(|&s| live_ids[s as usize]).collect(),
         })
         .collect();
     report.added_stops += polling_points.len();
@@ -329,7 +317,7 @@ fn full_replan(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mdg_net::DeploymentConfig;
+    use mdg_net::{Deployment, DeploymentConfig};
 
     fn setup(n: usize, seed: u64) -> (Network, CoverageInstance, GatheringPlan) {
         let net = Network::build(DeploymentConfig::uniform(n, 200.0).generate(seed), 30.0);

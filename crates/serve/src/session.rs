@@ -42,7 +42,9 @@
 //! validation; the server evicts it rather than serve corrupt state).
 
 use crate::protocol::SessionInfo;
-use mdg_core::{GatheringPlan, HierConfig, HierPlan, PlannerConfig, ShdgPlanner, UNASSIGNED};
+use mdg_core::{
+    CandidateMode, GatheringPlan, HierConfig, HierPlan, PlannerConfig, ShdgPlanner, UNASSIGNED,
+};
 use mdg_cover::CoverageInstance;
 use mdg_geom::{Aabb, Point};
 use mdg_net::{Deployment, Network};
@@ -159,19 +161,26 @@ pub struct FieldSession {
 
 impl FieldSession {
     /// Plans `deployment` cold with the flat planner and wraps the result
-    /// in a warm session.
+    /// in a warm session. The plan is made over the session's own
+    /// sensor-site instance, which repair keeps reading, so grid
+    /// candidates are rejected.
     pub fn plan_cold(
         name: impl Into<String>,
         deployment: Deployment,
         range: f64,
         planner_cfg: PlannerConfig,
     ) -> Result<Self, String> {
+        if let CandidateMode::Grid { .. } = planner_cfg.candidates {
+            return Err("flat sessions require sensor-site candidates \
+                        (repair anchors each stop at a sensor)"
+                .into());
+        }
         let t0 = Instant::now();
         let _sp = mdg_obs::span("cold_plan");
         let net = Network::build(deployment, range);
         let inst = CoverageInstance::sensor_sites(&net.deployment.sensors, range);
         let plan = ShdgPlanner::with_config(planner_cfg)
-            .plan(&net)
+            .plan_instance(&inst, net.deployment.sink)
             .map_err(|e| e.to_string())?;
         plan.validate(&net.deployment.sensors, range)
             .map_err(|e| format!("cold plan failed validation: {e}"))?;
@@ -553,6 +562,16 @@ mod tests {
         assert_eq!(s.kind(), "flat");
         assert!(s.plan().n_polling_points() > 0);
         assert!(s.stats.cold_plan_ms >= 0.0);
+    }
+
+    #[test]
+    fn grid_candidates_are_rejected() {
+        let cfg = PlannerConfig {
+            candidates: CandidateMode::Grid { spacing: 20.0 },
+            ..PlannerConfig::default()
+        };
+        let dep = DeploymentConfig::uniform(50, 200.0).generate(1);
+        assert!(FieldSession::plan_cold("g", dep, 30.0, cfg).is_err());
     }
 
     #[test]
