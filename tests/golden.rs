@@ -47,6 +47,7 @@ const GOLDEN: &[Row] = &[
     ("flat_n2000_noprune", 588, 0x40d355ff71317e8c, 0x9990dbf12147d5da),
     ("flat_n2000_cap5", 517, 0x40d380b7c3c61042, 0xe0c6d6522ee73184),
     ("flat_n2000_grid", 424, 0x40d15bc06df17fb1, 0xce10075a1632aa4f),
+    ("flat_n5000_default", 296, 0x40c3e1ed53c22cbf, 0xc98586a9854fdf15),
     ("hier_t1_tour_aware", 417, 0x40d1631014dd4a6b, 0x8fe4f6007f52f4d9),
     ("hier_t1_greedy", 399, 0x40d1a151747b072d, 0xe10c3542ee5d8b05),
     ("hier_t1_cap5", 519, 0x40d329c2b352ee52, 0xc27f2310c2a2f4cc),
@@ -188,6 +189,14 @@ fn flat_plans_match_the_golden_corpus() {
             fresh.push(plan_row(id, &plan));
         }
     }
+
+    // More candidates than one block of the tour-aware cover's parallel
+    // scan (2 048) and cache update (4 096), so its block boundaries
+    // are pinned too.
+    let net = uniform(5000, 707.0, RANGE, 7);
+    let plan = ShdgPlanner::new().plan(&net).unwrap();
+    plan.validate(&net.deployment.sensors, RANGE).unwrap();
+    fresh.push(plan_row("flat_n5000_default", &plan));
     check(&["e1_", "flat_"], &fresh);
 }
 

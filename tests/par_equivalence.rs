@@ -10,7 +10,9 @@
 //! * both covering strategies (`Greedy` and `TourAware`),
 //! * both tour-improvement paths (dense 2-opt/Or-opt below the planner's
 //!   512-stop limit, neighbor-list passes above it),
-//! * ≥ 20 random fields.
+//! * ≥ 20 random fields,
+//! * a tour-aware field of 5 000 candidates, wider than one block of
+//!   the cover's parallel selection scan and insertion-cache update.
 //!
 //! Thread counts are driven through `mdg_par::set_threads`, which is
 //! process-global — every test that touches it serializes on [`lock`].
@@ -125,6 +127,21 @@ fn neighbor_list_path_bit_identical_across_thread_counts() {
             );
         }
     }
+}
+
+#[test]
+fn tour_aware_multi_block_path_bit_identical_across_thread_counts() {
+    let _g = lock();
+    // 5 000 sensor-site candidates: the tour-aware cover's selection scan
+    // starts with three 2 048-candidate blocks and its insertion-cache
+    // update with two 4 096-candidate blocks, so block boundaries (and
+    // the candidates that straddle them) must not depend on the thread
+    // count.
+    let net = Network::build(DeploymentConfig::uniform(5_000, 707.0).generate(7), 30.0);
+    assert!(net.n_sensors() > 4_096);
+    let plan = assert_thread_count_invariant(&tour_aware_cfg(), &net, "tour-aware n = 5000");
+    plan.validate(&net.deployment.sensors, net.range)
+        .expect("plan is valid");
 }
 
 #[test]
