@@ -61,7 +61,7 @@
 use crate::error::PlanError;
 use crate::mutate::UNASSIGNED;
 use crate::plan::{GatheringPlan, PollingPoint};
-use crate::planner::{plan_stops, CandidateMode, PlannerConfig};
+use crate::planner::{check_capacity, plan_stops, CandidateMode, PlannerConfig};
 use mdg_cover::CoverageInstance;
 use mdg_geom::{Point, Tiling};
 use mdg_net::Network;
@@ -262,6 +262,7 @@ impl HierPlan {
                     .into(),
             ));
         }
+        check_capacity(&cfg.base)?;
         let mut sp_hier = mdg_obs::span("hier");
         sp_hier.add_items(sensors.len() as u64);
 

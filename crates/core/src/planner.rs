@@ -59,6 +59,7 @@ pub struct PlannerConfig {
     /// point may serve (`None` = unbounded). When set, the planner uses
     /// capacitated covering and a capacity-respecting assignment; pruning
     /// is skipped (the capacitated selection is already assignment-tight).
+    /// `Some(0)` is rejected with [`PlanError::Unsupported`].
     pub max_sensors_per_pp: Option<usize>,
 }
 
@@ -146,6 +147,7 @@ impl ShdgPlanner {
         inst: &CoverageInstance,
         sink: Point,
     ) -> Result<GatheringPlan, PlanError> {
+        check_capacity(&self.config)?;
         if inst.n_targets() == 0 {
             return Ok(GatheringPlan::new(sink, Vec::new(), Vec::new()));
         }
@@ -169,6 +171,16 @@ impl ShdgPlanner {
             .collect();
         Ok(GatheringPlan::new(sink, polling_points, assignment))
     }
+}
+
+/// Rejects a zero buffer bound: no polling point could take a sensor.
+pub(crate) fn check_capacity(cfg: &PlannerConfig) -> Result<(), PlanError> {
+    if cfg.max_sensors_per_pp == Some(0) {
+        return Err(PlanError::Unsupported(
+            "max_sensors_per_pp must be at least 1".into(),
+        ));
+    }
+    Ok(())
 }
 
 /// Vertex count (including a depot) above which a tour switches from
@@ -524,6 +536,25 @@ mod tests {
         // And the tour grows as buffers tighten.
         assert!(cap5.tour_length >= unbounded.tour_length - 1e-6);
         assert!(cap1.tour_length > cap5.tour_length);
+    }
+
+    #[test]
+    fn a_zero_buffer_bound_is_an_error_not_a_panic() {
+        let net = net(50, 100.0, 30.0, 31);
+        let base = PlannerConfig {
+            max_sensors_per_pp: Some(0),
+            ..PlannerConfig::default()
+        };
+        let unsupported =
+            |r: Result<GatheringPlan, PlanError>| matches!(r, Err(PlanError::Unsupported(_)));
+        assert!(unsupported(ShdgPlanner::with_config(base).plan(&net)));
+        let hier = crate::HierConfig {
+            base,
+            ..crate::HierConfig::default()
+        };
+        assert!(unsupported(
+            crate::HierPlanner::with_config(hier).plan(&net)
+        ));
     }
 
     #[test]
