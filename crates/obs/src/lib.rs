@@ -31,12 +31,19 @@
 //!
 //! # Threading model
 //!
-//! Spans use a thread-local path stack, so they should be opened on the
-//! orchestrating thread (the one that calls into `mdg-par`), not inside
-//! worker closures — a span opened on a worker would start a fresh root path.
-//! Workers instead bump [`Counter`]s / [`Histogram`]s, which are shared
-//! atomics, or accumulate locally and flush once after the parallel region
-//! (preferred: zero contention).
+//! Spans use a thread-local path stack. `mdg-par` runs every task of a
+//! parallel job under the path of the thread that submitted it (one
+//! [`current_path`] copy per job, taken only while recording is on, and
+//! installed on each worker with [`with_path`]), so a span opened inside a
+//! task nests where the parallel call sits: the tiles of a hierarchical
+//! plan record as `hier/tiles/tile` on every thread. A span under a
+//! parallel region therefore **sums wall time across threads**: at two
+//! threads `hier/tiles/tile` can read up to twice its parent `hier/tiles`,
+//! and its share of the root is busy time, not elapsed time. Threads that
+//! `mdg-par` did not start still begin at an empty path. Hot inner loops
+//! should bump [`Counter`]s / [`Histogram`]s, which are shared atomics, or
+//! accumulate locally and flush once after the parallel region (preferred:
+//! zero contention).
 //!
 //! # Example
 //!
@@ -196,6 +203,27 @@ pub fn span(name: &str) -> Span {
             alloc_mark: alloc::mark(),
         }),
     }
+}
+
+/// A copy of the calling thread's span path while recording is on, `None`
+/// while it is off. Hand it to [`with_path`] on another thread to nest that
+/// thread's spans under this one's.
+pub fn current_path() -> Option<String> {
+    enabled().then(|| PATH.with(|p| p.borrow().clone()))
+}
+
+/// Runs `f` with the calling thread's span path set to `path`, so spans
+/// opened inside nest under it, then restores the previous path (also when
+/// `f` unwinds).
+pub fn with_path<R>(path: &str, f: impl FnOnce() -> R) -> R {
+    struct Restore(String);
+    impl Drop for Restore {
+        fn drop(&mut self) {
+            PATH.with(|p| std::mem::swap(&mut *p.borrow_mut(), &mut self.0));
+        }
+    }
+    let _restore = Restore(PATH.with(|p| p.replace(path.to_owned())));
+    f()
 }
 
 /// Convenience macro form of [`span()`]: `let _sp = span!("plan/cover");`.
@@ -737,6 +765,34 @@ mod tests {
             assert_eq!(plan.calls, 2);
             assert_eq!(plan.items, 15);
             assert!(plan.wall_nanos >= p.spans[1].wall_nanos);
+        });
+    }
+
+    #[test]
+    fn spans_on_another_thread_nest_under_a_handed_over_path() {
+        with_clean_obs(|| {
+            let path = {
+                let _s = span("hier");
+                let _t = span("tiles");
+                current_path().unwrap()
+            };
+            assert_eq!(path, "hier/tiles");
+            std::thread::spawn(move || {
+                with_path(&path, || drop(span("tile")));
+                // The previous path comes back, also after an unwind.
+                let unwound = std::panic::catch_unwind(|| {
+                    with_path("elsewhere", || panic!("task failed"));
+                });
+                assert!(unwound.is_err());
+                drop(span("own"));
+            })
+            .join()
+            .unwrap();
+            let p = snapshot();
+            let paths: Vec<&str> = p.spans.iter().map(|s| s.path.as_str()).collect();
+            assert_eq!(paths, ["hier", "hier/tiles", "hier/tiles/tile", "own"]);
+            set_enabled(false);
+            assert_eq!(current_path(), None);
         });
     }
 

@@ -284,8 +284,14 @@ fn cmd_plan(flags: &Flags) -> Result<(), String> {
     let profiling = apply_profile(flags);
     apply_alloc_counting(flags);
     let alloc_base = mobile_collectors::obs::alloc::totals();
-    let deployment = DeploymentConfig::uniform(n, side).generate(seed);
-    let network = Network::build(deployment.clone(), range);
+    let deployment = {
+        let _sp = mobile_collectors::obs::span("generate");
+        DeploymentConfig::uniform(n, side).generate(seed)
+    };
+    let network = {
+        let _sp = mobile_collectors::obs::span("network");
+        Network::build(deployment.clone(), range)
+    };
 
     let mut cfg = PlannerConfig::default();
     if flags.contains_key("greedy") {
@@ -334,11 +340,11 @@ fn cmd_plan(flags: &Flags) -> Result<(), String> {
         (plan, None)
     };
     let plan_ms = t_plan.elapsed().as_secs_f64() * 1e3;
-    if profiling {
-        emit_profile(flags)?;
+    {
+        let _sp = mobile_collectors::obs::span("validate");
+        plan.validate(&network.deployment.sensors, range)
+            .map_err(|e| format!("internal: {e}"))?;
     }
-    plan.validate(&network.deployment.sensors, range)
-        .map_err(|e| format!("internal: {e}"))?;
 
     let m = PlanMetrics::of(&plan, &network.deployment.sensors);
     println!(
@@ -365,14 +371,19 @@ fn cmd_plan(flags: &Flags) -> Result<(), String> {
     println!("  buffer (max/pp): {}", m.max_sensors_per_pp);
 
     if let Some(out) = flags.get("out") {
+        let mut sp = mobile_collectors::obs::span("write");
         let bundle = PlanBundle {
             deployment,
             range,
             plan,
         };
         let json = serde_json::to_string_pretty(&bundle).map_err(|e| e.to_string())?;
+        sp.add_items(json.len() as u64);
         std::fs::write(out, json).map_err(|e| format!("cannot write {out}: {e}"))?;
         println!("  bundle         : {out}");
+    }
+    if profiling {
+        emit_profile(flags)?;
     }
     Ok(())
 }

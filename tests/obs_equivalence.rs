@@ -6,7 +6,7 @@
 //! Thread-count equivalence itself is covered by `par_equivalence.rs`;
 //! here the axis under test is the profiling flag.
 
-use mobile_collectors::core::{GatheringPlan, ShdgPlanner};
+use mobile_collectors::core::{GatheringPlan, HierConfig, HierPlanner, ShdgPlanner};
 use mobile_collectors::net::{DeploymentConfig, Network};
 use mobile_collectors::{obs, par};
 
@@ -94,6 +94,39 @@ fn profiled_plan_records_the_pipeline_phases() {
         );
     }
     obs::reset();
+}
+
+#[test]
+fn tile_spans_nest_under_the_parallel_call_at_2_threads() {
+    let _g = obs_lock();
+    // 16 occupied tiles over 2 000 sensors, planned on two threads: the
+    // tiles a worker plans must record under `hier/tiles` like the ones
+    // the submitting thread plans, not as a second root.
+    let net = field(2000, 1000.0, 11);
+    let planner = HierPlanner::with_config(HierConfig {
+        tile_cells: Some(10.0),
+        ..HierConfig::default()
+    });
+    par::set_threads(2);
+    obs::reset();
+    let (off, _) = planner.plan_with_stats(&net).unwrap();
+    obs::set_enabled(true);
+    let (on, stats) = planner.plan_with_stats(&net).unwrap();
+    obs::set_enabled(false);
+    par::set_threads(0);
+    let prof = obs::snapshot();
+    obs::reset();
+    assert_eq!(off, on, "profiling changed the hier plan");
+    assert_eq!(stats.n_occupied, 16);
+    let tile = prof
+        .spans
+        .iter()
+        .find(|s| s.path == "hier/tiles/tile")
+        .expect("tile spans recorded");
+    assert_eq!(tile.calls, stats.n_occupied as u64);
+    for s in &prof.spans {
+        assert!(s.path.starts_with("hier"), "stray root span {}", s.path);
+    }
 }
 
 #[test]
