@@ -238,6 +238,17 @@ fn req_positive(flags: &Flags, key: &str) -> Result<f64, String> {
     Ok(v)
 }
 
+/// A required length flag (field side or radio range): finite, positive
+/// and at most `MAX_COORD`, the bound bundles and the daemon apply. A
+/// longer one overflows every distance to infinity.
+fn req_length(flags: &Flags, key: &str) -> Result<f64, String> {
+    let v = req_positive(flags, key)?;
+    if v > MAX_COORD {
+        return Err(format!("--{key} {v} exceeds the {MAX_COORD:e} m bound"));
+    }
+    Ok(v)
+}
+
 fn load_bundle(flags: &Flags) -> Result<PlanBundle, String> {
     let path: PathBuf = req(flags, "bundle")?;
     let text = std::fs::read_to_string(&path)
@@ -277,8 +288,8 @@ fn check_bundle(bundle: &PlanBundle) -> Result<(), String> {
 
 fn cmd_plan(flags: &Flags) -> Result<(), String> {
     let n: usize = req(flags, "n")?;
-    let side = req_positive(flags, "side")?;
-    let range = req_positive(flags, "range")?;
+    let side = req_length(flags, "side")?;
+    let range = req_length(flags, "range")?;
     let seed: u64 = opt(flags, "seed", 42)?;
     let threads = apply_threads(flags)?;
     let profiling = apply_profile(flags);
@@ -472,8 +483,8 @@ fn cmd_simulate(flags: &Flags) -> Result<(), String> {
 
 fn cmd_runtime(flags: &Flags) -> Result<(), String> {
     let n: usize = req(flags, "n")?;
-    let side = req_positive(flags, "side")?;
-    let range = req_positive(flags, "range")?;
+    let side = req_length(flags, "side")?;
+    let range = req_length(flags, "range")?;
     let seed: u64 = opt(flags, "seed", 42)?;
     let rounds: u64 = opt(flags, "rounds", 20)?;
     let deaths: f64 = opt(flags, "deaths", 0.1)?;
@@ -728,8 +739,8 @@ fn cmd_render(flags: &Flags) -> Result<(), String> {
 
 fn cmd_export_ilp(flags: &Flags) -> Result<(), String> {
     let n: usize = req(flags, "n")?;
-    let side = req_positive(flags, "side")?;
-    let range = req_positive(flags, "range")?;
+    let side = req_length(flags, "side")?;
+    let range = req_length(flags, "range")?;
     let seed: u64 = opt(flags, "seed", 42)?;
     let out: PathBuf = req(flags, "out")?;
     let network = Network::build(DeploymentConfig::uniform(n, side).generate(seed), range);
@@ -800,8 +811,8 @@ fn cmd_serve(flags: &Flags) -> Result<(), String> {
 
 fn cmd_stats(flags: &Flags) -> Result<(), String> {
     let n: usize = req(flags, "n")?;
-    let side = req_positive(flags, "side")?;
-    let range = req_positive(flags, "range")?;
+    let side = req_length(flags, "side")?;
+    let range = req_length(flags, "range")?;
     let seed: u64 = opt(flags, "seed", 42)?;
     let network = Network::build(DeploymentConfig::uniform(n, side).generate(seed), range);
     let s = TopologyStats::of_network(&network);

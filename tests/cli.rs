@@ -183,6 +183,32 @@ fn a_zero_cap_is_an_error_not_a_panic() {
 }
 
 #[test]
+fn a_huge_side_is_an_error_not_a_panic() {
+    // A 1e200 m side overflows every distance to infinity. Lengths get the
+    // bundle and daemon bound instead: `error: …` and exit 1.
+    let lp = tmp("huge.lp");
+    for cmd in [
+        vec!["plan"],
+        vec!["runtime", "--rounds", "2"],
+        vec!["stats"],
+        vec!["export-ilp", "--out", lp.to_str().unwrap()],
+    ] {
+        for (side, range) in [("1e200", "30"), ("100", "1e200")] {
+            let mut args = cmd.clone();
+            args.extend(["--n", "10", "--side", side, "--range", range]);
+            let out = mdg(&args);
+            let err = stderr(&out);
+            assert_eq!(out.status.code(), Some(1), "{args:?}: {err}");
+            assert!(err.starts_with("error: "), "{args:?}: {err}");
+            assert!(err.contains("exceeds the 1e12 m bound"), "{args:?}: {err}");
+        }
+    }
+    // The bound itself still plans.
+    let out = mdg(&["plan", "--n", "10", "--side", "1e12", "--range", "30"]);
+    assert!(out.status.success(), "{}", stderr(&out));
+}
+
+#[test]
 fn plan_auto_selects_hier_above_the_threshold() {
     // Above the (lowered) threshold the planner goes hierarchical on its
     // own, says so on stderr, and reports tiling stats on stdout.
