@@ -73,10 +73,16 @@ pub fn scale(p: &Params) -> Table {
             m.n_polling_points, m.tour_length
         );
     }
-    t.notes = "Single topology per point (seed = base_seed); build_ms covers deployment + UDG \
-               construction, plan_ms the full plan (cover, prune, tour, assignment). Constant \
-               density: ~n/100 sensors per 10 m × 10 m cell at every n."
-        .into();
+    let cores = std::thread::available_parallelism()
+        .map(|n| n.get())
+        .unwrap_or(1);
+    t.notes = format!(
+        "Single topology per point (seed = base_seed); build_ms covers deployment + UDG \
+         construction, plan_ms the full plan (cover, prune, tour, assignment). Constant \
+         density: ~n/100 sensors per 10 m × 10 m cell at every n. Host had {cores} CPU \
+         core(s) available; mdg-par ran {} worker thread(s).",
+        mdg_par::threads()
+    );
     t
 }
 
