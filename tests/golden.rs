@@ -8,9 +8,9 @@
 //! of the plan's `serde_json` bytes. Multi-step scenarios (a delta
 //! sequence, a serving session) digest the plan after every step, so an
 //! intermediate change cannot hide behind an identical end state. The
-//! last two rows digest the bytes of files the `mdg` binary writes: a
-//! `runtime --trace` bundle and the `replay --sweep` JSONL over it; their
-//! count and tour columns are 0.
+//! last three rows digest the bytes of files the `mdg` binary writes: a
+//! `runtime --trace` bundle, the `replay --sweep` JSONL over it and the
+//! pretty-printed `plan --out` bundle; their count and tour columns are 0.
 //!
 //! Re-bless rule: a change that alters plans pastes in the fresh rows
 //! this test prints on a mismatch, and its CHANGES entry names each
@@ -66,6 +66,7 @@ const GOLDEN: &[Row] = &[
     ("fleet_deadline", 25, 0x4091988437f8b15c, 0xa50365c131fed601),
     ("cli_runtime_trace", 0, 0x0000000000000000, 0x65afe956302a31ab),
     ("cli_replay_sweep", 0, 0x0000000000000000, 0xa924d7bd2b5f2af3),
+    ("cli_plan_bundle", 0, 0x0000000000000000, 0x15e8b0f022220de6),
 ];
 
 const RANGE: f64 = 30.0;
@@ -362,6 +363,7 @@ fn cli_artifacts_match_the_golden_corpus() {
     std::fs::create_dir_all(&dir).unwrap();
     let trace = dir.join("trace.jsonl");
     let sweep = dir.join("sweep.jsonl");
+    let bundle = dir.join("bundle.json");
     let mdg = |args: &[&str]| {
         let out = Command::new(env!("CARGO_BIN_EXE_mdg"))
             .args(args)
@@ -401,10 +403,27 @@ fn cli_artifacts_match_the_golden_corpus() {
         "--out",
         sweep.to_str().unwrap(),
     ]);
-    let fresh: Vec<Row> = [("cli_runtime_trace", &trace), ("cli_replay_sweep", &sweep)]
-        .into_iter()
-        .map(|(id, path)| (id, 0, 0, fnv1a(FNV_OFFSET, &std::fs::read(path).unwrap())))
-        .collect();
+    mdg(&[
+        "plan",
+        "--n",
+        "300",
+        "--side",
+        "170",
+        "--range",
+        "30",
+        "--seed",
+        "42",
+        "--out",
+        bundle.to_str().unwrap(),
+    ]);
+    let fresh: Vec<Row> = [
+        ("cli_runtime_trace", &trace),
+        ("cli_replay_sweep", &sweep),
+        ("cli_plan_bundle", &bundle),
+    ]
+    .into_iter()
+    .map(|(id, path)| (id, 0, 0, fnv1a(FNV_OFFSET, &std::fs::read(path).unwrap())))
+    .collect();
     std::fs::remove_dir_all(&dir).ok();
     check(&["cli_"], &fresh);
 }
