@@ -153,13 +153,19 @@ pub fn serve(p: &Params) -> Table {
         .expect("serve bench: shutdown transport")
         .expect("serve bench: shutdown rejected");
     server.join();
-    t.notes = "One warm session per point; deltas kill max(2, n/1000) deterministic sensors per \
-               round and add one sensor every 4th round (rebuild path included). Latencies are \
-               server-side planning/repair wall time; req_per_s is client wall-clock over the \
-               churn stream including protocol overhead. speedup_p50 = cold_ms / delta_p50_ms; \
-               the run fails unless it exceeds 1 and every adding delta is faster than cold_ms \
-               at every n."
-        .into();
+    let cores = std::thread::available_parallelism()
+        .map(|n| n.get())
+        .unwrap_or(1);
+    t.notes = format!(
+        "One warm session per point; deltas kill max(2, n/1000) deterministic sensors per \
+         round and add one sensor every 4th round (rebuild path included). Latencies are \
+         server-side planning/repair wall time; req_per_s is client wall-clock over the \
+         churn stream including protocol overhead. speedup_p50 = cold_ms / delta_p50_ms; \
+         the run fails unless it exceeds 1 and every adding delta is faster than cold_ms \
+         at every n. Host had {cores} CPU core(s) available; mdg-par ran {} worker \
+         thread(s).",
+        mdg_par::threads()
+    );
     t
 }
 

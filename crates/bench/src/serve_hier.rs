@@ -256,7 +256,8 @@ pub fn serve_hier(p: &Params) -> Table {
          deltas beat the cold plan at every n; at n = 1M, p50 >= {FULL_SPEEDUP_GATE}x under cold \
          with 0 full rebuilds. The smallest point's churn is replayed in-process at 1 and 2 \
          worker threads and must match the daemon's tour bit-for-bit. Host had {cores} CPU \
-         core(s) available."
+         core(s) available; mdg-par ran {} worker thread(s).",
+        mdg_par::threads()
     );
     t
 }

@@ -6,7 +6,7 @@
 
 use crate::protocol::*;
 use mdg_geom::Point;
-use serde::Deserialize;
+use serde::{Deserialize, Deserializer};
 use std::io::{self, BufReader, BufWriter};
 use std::net::{TcpStream, ToSocketAddrs};
 use std::time::Duration;
@@ -79,23 +79,18 @@ impl Client {
         let line = serde_json::to_string(req)
             .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string()))?;
         let resp = self.send_raw(&line)?;
-        // Parse the line once and read the ack and the body off one tree:
-        // a `get_plan` reply is megabytes of JSON on a large field.
-        let unparseable = |e: serde_json::Error| {
+        let invalid =
+            |e: serde_json::Error| io::Error::new(io::ErrorKind::InvalidData, e.to_string());
+        let ok = reply_ok(&resp).map_err(|e| {
             io::Error::new(
                 io::ErrorKind::InvalidData,
                 format!("unparseable response: {e}"),
             )
-        };
-        let value = serde_json::parse_value(&resp).map_err(unparseable)?;
-        let ack = Ack::from_value(&value).map_err(unparseable)?;
-        if ack.ok {
-            T::from_value(&value)
-                .map(Ok)
-                .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string()))
+        })?;
+        if ok {
+            serde_json::from_str(&resp).map(Ok).map_err(invalid)
         } else {
-            let err = ErrorResponse::from_value(&value)
-                .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string()))?;
+            let err: ErrorResponse = serde_json::from_str(&resp).map_err(invalid)?;
             Ok(Err(err.error))
         }
     }
@@ -182,4 +177,20 @@ impl Client {
             ..Request::default()
         })
     }
+}
+
+/// A reply's top-level `ok` flag (the first, if repeated), read without
+/// decoding the rest: the server writes `ok` first, so this costs a few
+/// bytes of a `get_plan` reply that is megabytes long.
+fn reply_ok(reply: &str) -> Result<bool, serde_json::Error> {
+    let mut de = Deserializer::new(reply);
+    if de.begin_struct()? {
+        while let Some(key) = de.next_key()? {
+            if key == "ok" {
+                return bool::deserialize(&mut de);
+            }
+            de.skip_value()?;
+        }
+    }
+    Err(serde_json::Error::new("missing field `ok`"))
 }

@@ -382,3 +382,58 @@ fn a_collinear_field_plans_without_aborting_the_daemon() {
     server.shutdown();
     server.join();
 }
+
+#[test]
+fn a_deeply_nested_request_is_bad_json_not_a_dead_daemon() {
+    // 200 000 `[` on one line (200 KB, far under `max_line_bytes`). The
+    // parser used to recurse once per `[` with no bound, overflowed the
+    // connection thread's stack and aborted the process, every warm
+    // session with it. Nesting now stops at 128 levels with an error, in
+    // typed fields and skipped unknown fields alike.
+    let server = start(ServeConfig::default());
+    let mut client = Client::connect(server.local_addr()).unwrap();
+    let sensors: Vec<Point> = (0..150)
+        .map(|i| Point::new((i % 15) as f64 * 13.0, (i / 15) as f64 * 13.0))
+        .collect();
+    client
+        .plan_sensors("warm", sensors.clone(), None, 30.0)
+        .expect("transport")
+        .expect("plan accepted");
+    let deep = "[".repeat(200_000);
+    assert_eq!(error_code(&client.send_raw(&deep).unwrap()), "bad_json");
+    let in_unknown_field = format!("{{\"cmd\":\"metrics\",\"junk\":{deep}}}");
+    assert_eq!(
+        error_code(&client.send_raw(&in_unknown_field).unwrap()),
+        "bad_json"
+    );
+    let metrics = client.metrics().expect("transport").expect("metrics");
+    assert!(metrics.ok);
+    let got = client.get_plan("warm").unwrap().unwrap();
+    got.plan.validate(&sensors, 30.0).unwrap();
+    server.shutdown();
+    server.join();
+}
+
+#[test]
+fn an_escaped_surrogate_pair_names_the_same_session_as_raw_utf8() {
+    // Python's default `json.dumps` escapes non-ASCII, so a client sends
+    // the session name `f😀` as `"f\ud83d\ude00"`. Each half used to
+    // decode to U+FFFD on its own, and the raw name found no session.
+    let server = start(ServeConfig::default());
+    let mut client = Client::connect(server.local_addr()).unwrap();
+    let resp = client
+        .send_raw(
+            r#"{"cmd":"plan","field":"f\ud83d\ude00","n":150,"side":200,"seed":9,"range":30}"#,
+        )
+        .unwrap();
+    let summary: PlanSummary = serde_json::from_str(&resp).unwrap();
+    assert_eq!(summary.field, "f😀");
+    let got = client
+        .get_plan("f😀")
+        .expect("transport")
+        .expect("the raw name finds the session");
+    assert_eq!(got.field, "f😀");
+    assert_eq!(got.generation, summary.generation);
+    server.shutdown();
+    server.join();
+}

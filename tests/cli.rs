@@ -324,7 +324,7 @@ fn malformed_bundles_are_rejected_cleanly() {
     assert!(base.contains("\"range\": 30.0"), "{base}");
     let svg = tmp("malformed.svg");
     type Edit = fn(&str) -> String;
-    let cases: [(&str, Edit, &str); 3] = [
+    let cases: [(&str, Edit, &str); 4] = [
         (
             "range_zero",
             |b| b.replace("\"range\": 30.0", "\"range\": 0"),
@@ -344,6 +344,12 @@ fn malformed_bundles_are_rejected_cleanly() {
                 format!("{}1e13{}", &b[..x], &b[end..])
             },
             "sensor positions must be finite and within",
+        ),
+        (
+            // 200 000 `[` used to overflow the parser's stack: exit 134.
+            "deep_nesting",
+            |_| "[".repeat(200_000),
+            "nests deeper than 128",
         ),
     ];
     for (name, edit, expected) in cases {
