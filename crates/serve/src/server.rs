@@ -16,6 +16,10 @@
 //! daemon or poisons the session table:
 //!
 //! * **Malformed JSON** → `bad_json` error response, connection stays up.
+//!   This includes arrays or objects nested deeper than 128 levels,
+//!   anywhere in the line: the parser stops there with an error, where
+//!   unbounded recursion would overflow the connection thread's stack and
+//!   abort the whole process.
 //! * **Oversized line** → `oversized` error response, connection closed
 //!   (there is no reliable way to resynchronize an unbounded line).
 //! * **Disconnect / timeout** (including mid-request) → the connection
