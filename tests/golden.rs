@@ -64,6 +64,8 @@ const GOLDEN: &[Row] = &[
     ("session_mass_death", 45, 0x4099171380043301, 0xf3767537569f57c4),
     ("fleet_k3", 25, 0x40922db4d4be5fba, 0xa4ade6a70865f759),
     ("fleet_deadline", 25, 0x4091988437f8b15c, 0xa50365c131fed601),
+    ("fleet_hier_k4", 443, 0x40d58ca9104a33dc, 0xcc0fbd9333a9acad),
+    ("fleet_hier_deadline", 443, 0x40d4da77b647d87b, 0x8047d7a8463c9d3c),
     ("cli_runtime_trace", 0, 0x0000000000000000, 0x65afe956302a31ab),
     ("cli_replay_sweep", 0, 0x0000000000000000, 0xa924d7bd2b5f2af3),
     ("cli_plan_bundle", 0, 0x0000000000000000, 0x15e8b0f022220de6),
@@ -328,30 +330,39 @@ fn sessions_and_fleets_match_the_golden_corpus() {
         .unwrap();
     fresh.push(plan_row("session_mass_death", s.plan()));
 
-    // Fleets split the n = 200 default plan.
+    // Fleets split the n = 200 default plan, then the retained plan of
+    // the 16-tile hier field.
     let net = uniform(200, 200.0, RANGE, 7);
-    let plan = ShdgPlanner::new().plan(&net).unwrap();
-    let single_round = plan.collection_time(1.0, 0.5);
-    for (id, fleet) in [
-        ("fleet_k3", plan_fleet(&plan, 3)),
-        (
-            "fleet_deadline",
-            plan_fleet_for_deadline(&plan, single_round / 2.0, 1.0, 0.5).unwrap(),
-        ),
+    let flat = ShdgPlanner::new().plan(&net).unwrap();
+    let net = uniform(2000, 1000.0, RANGE, 11);
+    let cfg = HierConfig {
+        tile_cells: Some(10.0),
+        ..HierConfig::default()
+    };
+    let hier = HierPlan::build(&net.deployment.sensors, net.deployment.sink, RANGE, cfg).unwrap();
+    for (ids, k, plan) in [
+        (["fleet_k3", "fleet_deadline"], 3, &flat),
+        (["fleet_hier_k4", "fleet_hier_deadline"], 4, hier.plan()),
     ] {
-        fleet.validate(&plan).unwrap();
-        let stops = fleet
-            .collectors
-            .iter()
-            .map(|c| c.polling_points.len())
-            .sum();
-        let json = serde_json::to_string(&fleet).unwrap();
-        fresh.push((
-            id,
-            stops,
-            fleet.total_length().to_bits(),
-            fnv1a(FNV_OFFSET, json.as_bytes()),
-        ));
+        let deadline = plan.collection_time(1.0, 0.5) / (k - 1) as f64;
+        for (id, fleet) in ids.into_iter().zip([
+            plan_fleet(plan, k),
+            plan_fleet_for_deadline(plan, deadline, 1.0, 0.5).unwrap(),
+        ]) {
+            fleet.validate(plan).unwrap();
+            let stops = fleet
+                .collectors
+                .iter()
+                .map(|c| c.polling_points.len())
+                .sum();
+            let json = serde_json::to_string(&fleet).unwrap();
+            fresh.push((
+                id,
+                stops,
+                fleet.total_length().to_bits(),
+                fnv1a(FNV_OFFSET, json.as_bytes()),
+            ));
+        }
     }
     check(&["session_", "fleet_"], &fresh);
 }
