@@ -3,9 +3,8 @@
 use mdg_geom::{hull_perimeter, Point};
 use mdg_tour::{
     cheapest_insertion, christofides_like, exact::brute_force, greedy_edge, held_karp,
-    held_karp_lower_bound, improve, min_collectors_for_bound, mst_2approx, nearest_neighbor,
-    or_opt, plan_tour, split_into_k, three_opt, two_opt, CostMatrix, ImproveConfig, MatrixCost,
-    Tour,
+    held_karp_lower_bound, improve, mst_2approx, nearest_neighbor, or_opt, pack_in_order,
+    plan_tour, split_into_k, three_opt, two_opt, CostMatrix, ImproveConfig, MatrixCost, Tour,
 };
 use proptest::prelude::*;
 
@@ -161,7 +160,8 @@ proptest! {
         let feasible = 2.0 * maxdist + 1.0;
         let mut prev = usize::MAX;
         for mult in [1.0, 1.5, 2.5, 5.0, 20.0] {
-            let tours = min_collectors_for_bound(&cost, &tour, feasible * mult);
+            let bound = feasible * mult;
+            let tours = pack_in_order(&cost, &tour, |_| 0, |len, _| len <= bound);
             prop_assert!(tours.is_some(), "bound {} should be feasible", feasible * mult);
             let tours = tours.unwrap();
             for t in &tours {
