@@ -943,6 +943,20 @@ mod tests {
     }
 
     #[test]
+    fn a_collinear_field_tiles_in_proportion_to_its_sensors() {
+        // 1 000 sensors 1e5 m apart on a 1e8 m line. The tile side used to
+        // grow only with the field's (zero) area, so the 60 m auto side
+        // made 1 666 667 tiles; the per-axis cap bounds them by the count.
+        let sensors: Vec<Point> = (0..1000).map(|i| Point::new(i as f64 * 1e5, 0.0)).collect();
+        let hp =
+            HierPlan::build(&sensors, Point::new(5e7, 0.0), 30.0, HierConfig::default()).unwrap();
+        let n_tiles = hp.stats().n_tiles;
+        assert!(n_tiles <= 3 * 1000 + 1, "{n_tiles} tiles");
+        hp.plan().validate(&sensors, 30.0).unwrap();
+        assert_eq!(hp.plan().n_polling_points(), 1000);
+    }
+
+    #[test]
     fn empty_tiles_flow_through_stitching_without_panicking() {
         // A tile that selected no polling points (and true empty tiles)
         // must ride through `stitch` as a no-op.

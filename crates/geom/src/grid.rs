@@ -54,29 +54,11 @@ impl SpatialGrid {
             cell > 0.0 && cell.is_finite(),
             "cell size must be positive and finite"
         );
-        let bb = Aabb::from_points(points).unwrap_or(Aabb {
-            min: Point::ORIGIN,
-            max: Point::ORIGIN,
-        });
-        let origin = bb.min;
-        // Cap the cell count at ~4 buckets per point: a cell far smaller
-        // than the point spacing only wastes memory (a 1 mm radio range
-        // over a 300 m field must not allocate 10¹¹ buckets). The area
-        // bound alone vanishes on a collinear field (zero area), so each
-        // axis is bounded too; together they keep the lattice under
-        // `3 · max_cells + 1` buckets. Queries stay correct for any cell
-        // size because the scan radius is computed from `radius / cell`.
-        let max_cells = (4 * points.len()).max(64);
-        let min_cell = (bb.width().max(1e-12) * bb.height().max(1e-12) / max_cells as f64).sqrt();
-        let cell = cell
-            .max(min_cell)
-            .max(bb.width() / max_cells as f64)
-            .max(bb.height() / max_cells as f64);
-        let cols = ((bb.width() / cell).floor() as usize + 1).max(1);
-        let rows = ((bb.height() / cell).floor() as usize + 1).max(1);
-        let ncells = cols
-            .checked_mul(rows)
-            .expect("grid cell count is bounded by the point count");
+        // A budget of ~4 buckets per point. Queries stay correct for any
+        // cell size because the scan radius is computed from
+        // `radius / cell`.
+        let (origin, cell, cols, rows) = lattice(points, cell, (4 * points.len()).max(64));
+        let ncells = cols * rows;
 
         // Two-pass counting sort into CSR buckets.
         let mut counts = vec![0u32; ncells + 1];
@@ -289,6 +271,32 @@ impl SpatialGrid {
             radius *= 2.0;
         }
     }
+}
+
+/// Sizes a lattice of square cells over the bounding box of `points`, for
+/// [`SpatialGrid`] and [`crate::Tiling`] alike. Returns the box's
+/// bottom-left corner, the cell side, and the column and row counts.
+///
+/// The requested `cell` is a lower bound: it grows until the lattice has
+/// at most `3 · max_cells + 1` cells, because a cell far smaller than the
+/// point spacing only wastes memory (a 1 mm radio range over a 300 m field
+/// must not allocate 10¹¹ buckets). The area bound alone vanishes on a
+/// collinear field (zero area), so each axis is bounded too.
+pub(crate) fn lattice(points: &[Point], cell: f64, max_cells: usize) -> (Point, f64, usize, usize) {
+    let bb = Aabb::from_points(points).unwrap_or(Aabb {
+        min: Point::ORIGIN,
+        max: Point::ORIGIN,
+    });
+    let min_cell = (bb.width().max(1e-12) * bb.height().max(1e-12) / max_cells as f64).sqrt();
+    let cell = cell
+        .max(min_cell)
+        .max(bb.width() / max_cells as f64)
+        .max(bb.height() / max_cells as f64);
+    let cols = ((bb.width() / cell).floor() as usize + 1).max(1);
+    let rows = ((bb.height() / cell).floor() as usize + 1).max(1);
+    cols.checked_mul(rows)
+        .expect("lattice cell count is bounded by the point count");
+    (bb.min, cell, cols, rows)
 }
 
 #[cfg(test)]

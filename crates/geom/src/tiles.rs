@@ -8,7 +8,7 @@
 //! layout, which keeps point indices ascending inside every bucket and
 //! makes iteration order — and anything derived from it — deterministic.
 
-use crate::bbox::Aabb;
+use crate::grid::lattice;
 use crate::point::Point;
 
 /// A partition of a point set into square tiles on a row-major lattice.
@@ -27,7 +27,7 @@ use crate::point::Point;
 /// assert_eq!(tiling.n_tiles(), 4);
 /// assert_eq!(tiling.points_in(0), &[0]);
 /// assert_eq!(tiling.points_in(1), &[1]);
-/// assert_eq!(tiling.non_empty().count(), 3);
+/// assert_eq!(tiling.points_in(3), &[] as &[u32]);
 /// ```
 #[derive(Debug, Clone)]
 pub struct Tiling {
@@ -43,10 +43,11 @@ pub struct Tiling {
 impl Tiling {
     /// Partitions `points` into square tiles of the given `side` length.
     ///
-    /// The requested side is a lower bound: like [`crate::SpatialGrid`],
-    /// the tile count is capped at roughly one tile per point (minimum
-    /// 64) so a tiny side over a huge field cannot allocate an absurd
-    /// lattice; the side grows to meet the cap.
+    /// The requested side is a lower bound: the side grows until there are
+    /// at most `3 · max(n, 64) + 1` tiles, sized like
+    /// [`crate::SpatialGrid`]'s cells (by area and along each axis), so a
+    /// tiny side over a huge or collinear field cannot allocate an absurd
+    /// lattice.
     ///
     /// # Panics
     /// Panics if `side` is not strictly positive and finite.
@@ -55,16 +56,7 @@ impl Tiling {
             side > 0.0 && side.is_finite(),
             "tile side must be positive and finite"
         );
-        let bb = Aabb::from_points(points).unwrap_or(Aabb {
-            min: Point::ORIGIN,
-            max: Point::ORIGIN,
-        });
-        let origin = bb.min;
-        let max_tiles = points.len().max(64);
-        let min_side = (bb.width().max(1e-12) * bb.height().max(1e-12) / max_tiles as f64).sqrt();
-        let side = side.max(min_side);
-        let cols = ((bb.width() / side).floor() as usize + 1).max(1);
-        let rows = ((bb.height() / side).floor() as usize + 1).max(1);
+        let (origin, side, cols, rows) = lattice(points, side, points.len().max(64));
         let n_tiles = cols * rows;
 
         let tiling = Tiling {
@@ -165,12 +157,6 @@ impl Tiling {
             })
         })
     }
-
-    /// Indices of non-empty tiles, in serpentine order.
-    pub fn non_empty(&self) -> impl Iterator<Item = usize> + '_ {
-        self.serpentine()
-            .filter(move |&t| self.starts[t + 1] > self.starts[t])
-    }
 }
 
 #[cfg(test)]
@@ -239,7 +225,6 @@ mod tests {
             let tiling = Tiling::build(&points, 10.0);
             assert_eq!(tiling.n_tiles(), 1);
             assert_eq!(tiling.points_in(0).len(), points.len());
-            assert_eq!(tiling.non_empty().count(), usize::from(!points.is_empty()));
         }
     }
 
