@@ -669,6 +669,11 @@ fn build_deployment(req: &Request, shared: &Shared) -> Result<Deployment, Handle
         if !(side.is_finite() && side > 0.0) {
             return Err(bad_request(format!("side must be positive, got {side}")));
         }
+        if side > MAX_COORD {
+            return Err(bad_request(format!(
+                "side {side} exceeds the {MAX_COORD:e} m bound"
+            )));
+        }
         let seed = req.seed.unwrap_or(42);
         Ok(DeploymentConfig::uniform(n, side).generate(seed))
     }

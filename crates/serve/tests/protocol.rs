@@ -360,6 +360,30 @@ fn hostile_coordinates_get_structured_errors_and_the_session_survives() {
 }
 
 #[test]
+fn a_generated_field_past_max_coord_is_a_bad_request() {
+    // The `n`+`side` form generates positions in [0, side]², so a side
+    // past `MAX_COORD` smuggles in what the `sensors` form rejects: 1e13
+    // planned a 3.4e13 m tour, and 1e300 overflowed every distance to
+    // infinity and panicked inside cheapest insertion.
+    let server = start(ServeConfig::default());
+    let mut client = Client::connect(server.local_addr()).unwrap();
+    for side in ["1e13", "1e300"] {
+        let req =
+            format!("{{\"cmd\":\"plan\",\"field\":\"f\",\"n\":10,\"side\":{side},\"range\":30}}");
+        assert_eq!(
+            error_code(&client.send_raw(&req).unwrap()),
+            "bad_request",
+            "side {side}"
+        );
+        let metrics = client.metrics().expect("transport").expect("metrics");
+        assert!(metrics.ok);
+        assert!(metrics.sessions.is_empty(), "side {side} left a session");
+    }
+    server.shutdown();
+    server.join();
+}
+
+#[test]
 fn a_collinear_field_plans_without_aborting_the_daemon() {
     // 600 sensors on a line, 60 m apart at range 30: every sensor is its
     // own stop, so the 601-vertex tour takes the neighbor-list path. Its
