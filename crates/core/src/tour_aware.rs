@@ -51,6 +51,7 @@ pub struct TourAwareCover {
 /// Cheapest-insertion delta of `p` into the closed tour `tour` (which
 /// includes the sink). For a single-vertex "tour" this is the out-and-back
 /// distance.
+#[cfg(test)]
 fn insertion_cost(tour: &[Point], p: Point) -> (usize, f64) {
     debug_assert!(!tour.is_empty());
     if tour.len() == 1 {
@@ -169,9 +170,9 @@ fn rescan(p: Point, pts: &[Point], edge_len: &[f64], nodes: &[usize]) -> InsEntr
 /// Runs tour-aware greedy covering. Returns `None` if the instance is
 /// infeasible.
 ///
-/// Incremental implementation of the same selection rule as
-/// [`tour_aware_cover_reference`] (the original full-rescan version, kept
-/// as the executable specification):
+/// Incremental implementation of the same selection rule as the original
+/// full-rescan version, which this module's tests keep as the executable
+/// specification:
 ///
 /// * **Gains** are maintained through an inverted index (target → covering
 ///   candidates): selecting a candidate decrements the gain of every
@@ -435,7 +436,8 @@ pub fn tour_aware_cover(
 /// candidate's gain and rescans the whole tour for its cheapest insertion
 /// (`O(steps · candidates · (targets/64 + tour))`). Kept as the executable
 /// specification for [`tour_aware_cover`] and the equivalence suite.
-pub fn tour_aware_cover_reference(
+#[cfg(test)]
+fn tour_aware_cover_reference(
     inst: &CoverageInstance,
     sink: Point,
     cfg: &TourAwareConfig,

@@ -11,11 +11,11 @@
 //!   `O(candidates · log candidates)` heap traffic plus a handful of gain
 //!   re-evaluations per selection, instead of a full candidate rescan per
 //!   selection.
-//! * [`greedy_cover_reference`] / [`greedy_cover_restricted_reference`] —
-//!   the original full-rescan implementations, retained as the executable
-//!   specification. The equivalence suite in `tests/equivalence.rs` checks
-//!   that the lazy versions reproduce their selection order **exactly**,
-//!   tie-breaker included.
+//! * `greedy_cover_reference` / `greedy_cover_restricted_reference` —
+//!   the original full-rescan implementations, compiled for this module's
+//!   tests only as the executable specification. The seeded equivalence
+//!   suite there checks that the lazy versions reproduce their selection
+//!   order **exactly**, tie-breaker included.
 //!
 //! The tie-breaking contract (shared by both): select the candidate with
 //! the largest marginal gain; among equal gains the smallest
@@ -143,7 +143,7 @@ where
 /// the instance is infeasible (some target uncovered by every candidate).
 ///
 /// This is the lazy-greedy (accelerated) implementation; it returns the
-/// exact same selection sequence as [`greedy_cover_reference`] for any
+/// exact same selection sequence as the full-rescan reference for any
 /// pure, non-`NaN` tie-breaker, at a fraction of the cost on large
 /// instances.
 ///
@@ -213,8 +213,7 @@ where
 /// covered by no allowed candidate. Targets outside `targets` are ignored
 /// entirely: they neither need covering nor contribute to gains.
 ///
-/// Lazy-greedy; selection-order-identical to
-/// [`greedy_cover_restricted_reference`].
+/// Lazy-greedy; selection-order-identical to the full-rescan reference.
 ///
 /// ```
 /// use mdg_cover::{greedy_cover_restricted, CoverageInstance};
@@ -284,8 +283,9 @@ where
 /// Reference full-rescan greedy cover (the original implementation): every
 /// selection step scans all candidates. `O(selections · candidates ·
 /// targets/64)`. Kept as the executable specification that
-/// [`greedy_cover`] is verified against, and for benchmarking the speedup.
-pub fn greedy_cover_reference<F>(inst: &CoverageInstance, tie_break: F) -> Option<Vec<usize>>
+/// [`greedy_cover`] is verified against.
+#[cfg(test)]
+fn greedy_cover_reference<F>(inst: &CoverageInstance, tie_break: F) -> Option<Vec<usize>>
 where
     F: Fn(usize) -> f64,
 {
@@ -327,7 +327,8 @@ where
 
 /// Reference full-rescan restricted greedy cover; see
 /// [`greedy_cover_reference`].
-pub fn greedy_cover_restricted_reference<F>(
+#[cfg(test)]
+fn greedy_cover_restricted_reference<F>(
     inst: &CoverageInstance,
     targets: &[usize],
     allowed: &[usize],
@@ -382,6 +383,9 @@ where
 mod tests {
     use super::*;
     use mdg_geom::Point;
+    use mdg_net::DeploymentConfig;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
 
     fn line(xs: &[f64]) -> Vec<Point> {
         xs.iter().map(|&x| Point::new(x, 0.0)).collect()
@@ -536,5 +540,101 @@ mod tests {
             greedy_cover(&inst, tie).unwrap(),
             greedy_cover_reference(&inst, tie).unwrap()
         );
+    }
+
+    // Seeded equivalence suite: the lazy-greedy (max-heap of stale gains)
+    // cover must return the *exact same selections, in the same order* as
+    // the naive full-rescan greedy it replaced, for any tie-breaker.
+    //
+    // The suite sweeps > 100 seeded instances across sizes, ranges and four
+    // tie-breaker families chosen to stress the tie-resolution path: the
+    // planner's real distance-to-sink breaker, a constant (every candidate
+    // tied), a coarsely quantized distance (many multi-way ties, including
+    // exact `-0.0` vs `0.0` bucket values), and a negated coordinate
+    // (descending preference).
+
+    /// Instance `i` of the sweep: uniform field whose size, density and range
+    /// all vary with the index.
+    fn instance(i: usize) -> (CoverageInstance, Vec<Point>, Point) {
+        let n = 10 + (i * 7) % 151; // 10..=160 sensors
+        let side = 60.0 + (i % 9) as f64 * 20.0; // 60..=220 m
+        let range = 12.0 + (i % 11) as f64 * 4.0; // 12..=52 m
+        let dep = DeploymentConfig::uniform(n, side).generate(1000 + i as u64);
+        let inst = CoverageInstance::sensor_sites(&dep.sensors, range);
+        (inst, dep.sensors, dep.sink)
+    }
+
+    /// The four tie-breaker families, by index.
+    fn tie_break(mode: usize, sensors: &[Point], sink: Point, c: usize) -> f64 {
+        match mode {
+            0 => sensors[c].dist(sink),                  // the planner's breaker
+            1 => 0.0,                                    // everything tied
+            2 => (sensors[c].dist(sink) / 25.0).floor(), // coarse buckets
+            _ => -sensors[c].x,                          // descending, signed zeros
+        }
+    }
+
+    #[test]
+    fn lazy_matches_reference_on_120_seeded_instances() {
+        let mut checked = 0usize;
+        for i in 0..120 {
+            let (inst, sensors, sink) = instance(i);
+            let mode = i % 4;
+            let tb = |c: usize| tie_break(mode, &sensors, sink, c);
+            let lazy = greedy_cover(&inst, tb);
+            let naive = greedy_cover_reference(&inst, tb);
+            assert_eq!(
+                lazy,
+                naive,
+                "instance {i} (n = {}, mode {mode}): lazy-greedy diverged from reference",
+                inst.n_targets()
+            );
+            assert!(inst.is_cover(&lazy.unwrap()));
+            checked += 1;
+        }
+        assert!(checked >= 100, "suite must cover at least 100 instances");
+    }
+
+    #[test]
+    fn restricted_lazy_matches_reference_on_seeded_instances() {
+        let mut rng = StdRng::seed_from_u64(7);
+        for i in 0..60 {
+            let (inst, sensors, sink) = instance(i + 500);
+            let n = inst.n_targets();
+            // Random non-empty target subset; `allowed` is every candidate
+            // covering at least one chosen target plus some random extras.
+            let targets: Vec<usize> = (0..n).filter(|_| rng.gen_bool(0.4)).collect();
+            if targets.is_empty() {
+                continue;
+            }
+            let allowed: Vec<usize> = (0..inst.n_candidates())
+                .filter(|&c| {
+                    targets.iter().any(|&t| inst.candidates[c].covers.get(t)) || rng.gen_bool(0.2)
+                })
+                .collect();
+            let mode = i % 4;
+            let tb = |c: usize| tie_break(mode, &sensors, sink, c);
+            let lazy = greedy_cover_restricted(&inst, &targets, &allowed, tb);
+            let naive = greedy_cover_restricted_reference(&inst, &targets, &allowed, tb);
+            assert_eq!(
+                lazy, naive,
+                "restricted instance {i} (n = {n}, mode {mode}): lazy diverged from reference"
+            );
+        }
+    }
+
+    #[test]
+    fn restricted_infeasible_subsets_agree_on_none() {
+        // `allowed` misses a target entirely: both variants must return None.
+        let sensors = vec![
+            Point::new(0.0, 0.0),
+            Point::new(50.0, 0.0),
+            Point::new(100.0, 0.0),
+        ];
+        let inst = CoverageInstance::sensor_sites(&sensors, 10.0);
+        let lazy = greedy_cover_restricted(&inst, &[0, 2], &[0], |_| 0.0);
+        let naive = greedy_cover_restricted_reference(&inst, &[0, 2], &[0], |_| 0.0);
+        assert_eq!(lazy, None);
+        assert_eq!(lazy, naive);
     }
 }

@@ -122,10 +122,10 @@ pub fn greedy_edge<C: CostMatrix>(cost: &C) -> Tour {
 /// strictly below the old delta — no surviving edge can beat that, as the
 /// old delta was their minimum — and is rescanned in full otherwise;
 /// either way it gets exactly what the rescan returns. This matches the
-/// full-rescan [`cheapest_insertion_reference`] choice-for-choice except
-/// when two distinct insertion positions tie to the last bit of the delta,
-/// where the earlier-scanned position wins in the reference and the
-/// earlier-cached one here.
+/// full-rescan reference, which this module's tests keep, choice for
+/// choice except when two distinct insertion positions tie to the last bit
+/// of the delta, where the earlier-scanned position wins in the reference
+/// and the earlier-cached one here.
 pub fn cheapest_insertion<C: CostMatrix>(cost: &C) -> Tour {
     let n = cost.n();
     if n <= 2 {
@@ -233,7 +233,8 @@ pub fn cheapest_insertion<C: CostMatrix>(cost: &C) -> Tour {
 /// Reference cheapest insertion: full `O(n)`-position × `O(n)`-city rescan
 /// per insertion (`O(n³)` total). Kept as the executable specification for
 /// the incremental [`cheapest_insertion`] and for the equivalence suite.
-pub fn cheapest_insertion_reference<C: CostMatrix>(cost: &C) -> Tour {
+#[cfg(test)]
+fn cheapest_insertion_reference<C: CostMatrix>(cost: &C) -> Tour {
     let n = cost.n();
     if n <= 2 {
         return Tour::identity(n);
