@@ -34,8 +34,12 @@
 //! dirties only the tile that owns its position ([`mdg_geom::Tiling::tile_of`]),
 //! [`HierPlan::apply_delta`] re-runs cover → prune → tour → assign on
 //! the dirty tiles only, re-stitches from the retained sub-tours (an
-//! `O(stops)` concatenation), and re-polishes only the seams adjacent to
-//! dirty tiles. When a delta dirties at least half the occupied tiles — or
+//! `O(stops)` concatenation), re-polishes only the seams adjacent to
+//! dirty tiles (computing k-NN rows only for the stops the polish reads),
+//! and patches the served plan: clean tiles' polling points move over as
+//! they are and the assignment is rewritten in one `O(live)` pass. A
+//! delta thus costs its dirty tiles plus that pass, not a field-wide
+//! rebuild. When a delta dirties at least half the occupied tiles — or
 //! changes the transmission range, which invalidates every cover — the
 //! incremental path escalates to a full re-plan.
 //!
@@ -205,7 +209,8 @@ impl HierPlanner {
 
 /// A retained hierarchical plan: the finished [`GatheringPlan`] plus the
 /// intermediate state needed to update it incrementally — the tiling,
-/// each tile's live member sensors, and each tile's pre-stitch sub-tour.
+/// each tile's live member sensors, each tile's pre-stitch sub-tour, and
+/// where each stop sits in the served plan.
 ///
 /// `HierPlan` does **not** own the sensor coordinates: the caller (a
 /// warm serving session, typically) keeps the growing `Vec<Point>` and
@@ -242,6 +247,11 @@ pub struct HierPlan {
     tiles: Vec<Option<TilePlan>>,
     /// Sensor id slots the plan's assignment spans (live + dead).
     n_sensors: usize,
+    /// Per sensor id slot: the index in `plan.polling_points` of the stop
+    /// at that sensor, for every stop of the current plan (other slots hold
+    /// stale values). Lets a delta find a clean tile's polling points
+    /// without an id-indexed pass.
+    stop_index: Vec<u32>,
     plan: GatheringPlan,
     stats: HierStats,
 }
@@ -284,6 +294,7 @@ impl HierPlan {
             members,
             tiles,
             n_sensors: sensors.len(),
+            stop_index: Vec::new(),
             plan: GatheringPlan::new(sink, Vec::new(), Vec::new()),
             stats: HierStats {
                 n_tiles: 0,
@@ -292,7 +303,7 @@ impl HierPlan {
                 tile_side: side,
             },
         };
-        hp.materialize(sensors, None);
+        hp.materialize(None);
         Ok(hp)
     }
 
@@ -324,10 +335,12 @@ impl HierPlan {
     }
 
     /// Rough heap footprint of the retained state in bytes (tiling CSR
-    /// buckets, member lists, sub-tours, and the materialized plan) —
-    /// the serving layer's byte-aware session eviction reads this.
+    /// buckets, the stop index, member lists, sub-tours, and the
+    /// materialized plan) — the serving layer's byte-aware session
+    /// eviction reads this.
     pub fn approx_bytes(&self) -> u64 {
         let tiling = self.n_sensors as u64 * 4 + self.tiling.n_tiles() as u64 * 4;
+        let stop_index = self.stop_index.len() as u64 * 4;
         let members: u64 = self
             .members
             .iter()
@@ -339,7 +352,7 @@ impl HierPlan {
             .flatten()
             .map(|tp| 72 + tp.stops.len() as u64 * 20 + tp.chosen.len() as u64 * 4)
             .sum::<u64>();
-        tiling + members + tiles + self.plan.approx_bytes()
+        tiling + stop_index + members + tiles + self.plan.approx_bytes()
     }
 
     /// Applies a delta — sensor deaths, appended sensors, and/or a range
@@ -484,7 +497,7 @@ impl HierPlan {
 
         // 4. Re-stitch from the retained sub-tours and polish only the
         //    dirty-adjacent seams.
-        self.materialize(sensors, Some(&dirty));
+        self.materialize(Some(&dirty));
         mdg_par::scratch::put(dirty);
         mdg_par::scratch::put(dirty_list);
         Ok(HierDeltaReport {
@@ -521,17 +534,19 @@ impl HierPlan {
             .collect();
         self.tiles = plan_all_tiles(sensors, &tiling, &self.members, self.range, &self.cfg.base);
         self.tiling = tiling;
-        self.materialize(sensors, None);
+        self.materialize(None);
         Ok(())
     }
 
-    /// Rebuilds the materialized [`GatheringPlan`] from the retained
-    /// per-tile sub-tours: serpentine stitch, seam touch-up, assignment.
+    /// Brings the materialized [`GatheringPlan`] up to date with the
+    /// retained per-tile sub-tours: serpentine stitch, seam touch-up, then
+    /// [`HierPlan::assemble`].
     ///
-    /// `dirty`: `None` polishes every seam (cold build / full rebuild);
-    /// `Some(mask)` seeds the touch-up only at seam stops whose tour
-    /// neighborhood touches a dirty tile.
-    fn materialize(&mut self, sensors: &[Point], dirty: Option<&[bool]>) {
+    /// `dirty`: `None` marks every tile dirty (cold build / full rebuild)
+    /// and polishes every seam; `Some(mask)` seeds the touch-up only at
+    /// seam stops whose tour neighborhood touches a dirty tile, and keeps
+    /// the clean tiles' polling points.
+    fn materialize(&mut self, dirty: Option<&[bool]>) {
         let ordered: Vec<&TilePlan> = self
             .tiling
             .serpentine()
@@ -570,11 +585,7 @@ impl HierPlan {
                     // tile need re-polishing; clean seams were polished
                     // when their tiles last changed.
                     let mut stop_dirty: Vec<bool> = mdg_par::scratch::take_cap(m);
-                    stop_dirty.extend(
-                        cands
-                            .iter()
-                            .map(|&c| mask[self.tiling.tile_of(sensors[c as usize])]),
-                    );
+                    stop_dirty.extend(cycle_pts[1..].iter().map(|&p| mask[self.tiling.tile_of(p)]));
                     if stop_dirty[0] || stop_dirty[m - 1] {
                         seeds.push(0);
                     }
@@ -592,22 +603,25 @@ impl HierPlan {
                 }
             };
             if !seeds.is_empty() {
-                let nl = NeighborLists::build(&cycle_pts, TOUCH_UP_NEIGHBORS);
+                // The seeded passes read the k-NN rows of the cities they
+                // visit, a few per seam; rows are computed on first read.
+                let mut nl = NeighborLists::build(&cycle_pts, TOUCH_UP_NEIGHBORS);
                 let tour = two_opt_neighbors_seeded(
                     &cycle_pts,
                     Tour::identity(cycle_pts.len()),
-                    &nl,
+                    &mut nl,
                     1e-9,
                     &seeds,
                 );
                 let tour = or_opt_neighbors_seeded(
                     &cycle_pts,
                     tour,
-                    &nl,
+                    &mut nl,
                     TOUCH_UP_MAX_SEGMENT,
                     1e-9,
                     &seeds,
                 );
+                mdg_obs::counter("hier/knn_rows").add(nl.rows_computed() as u64);
                 let order = tour.order();
                 debug_assert_eq!(order[0], 0, "normalized tours lead with the depot");
                 let mut new_pts: Vec<Point> = mdg_par::scratch::take_cap(cycle_pts.len());
@@ -620,59 +634,9 @@ impl HierPlan {
             mdg_par::scratch::put(seeds);
         }
 
-        // Assignment: scatter each tile's choices into an id-indexed
-        // table (live members partition across tiles, so each slot is
-        // written at most once; dead slots stay UNASSIGNED), then map the
-        // chosen stop ids to tour positions.
         self.plan = {
             let _sp = mdg_obs::span("assign");
-            let n = self.n_sensors;
-            // Both id-indexed tables are O(sensors) and rebuilt each
-            // materialize; at a million sensors pooling them avoids two
-            // multi-megabyte allocations per delta. (The assignment and
-            // covered lists leave in the plan, so they stay owned.)
-            let mut chosen: Vec<u32> = mdg_par::scratch::take_cap(n);
-            chosen.resize(n, u32::MAX);
-            for (t, tp) in self.tiles.iter().enumerate() {
-                if let Some(tp) = tp {
-                    for (i, &g) in self.members[t].iter().enumerate() {
-                        chosen[g as usize] = tp.chosen[i];
-                    }
-                }
-            }
-            let mut pp_of: Vec<u32> = mdg_par::scratch::take_cap(n);
-            pp_of.resize(n, u32::MAX);
-            for (k, &c) in cands.iter().enumerate() {
-                pp_of[c as usize] = k as u32;
-            }
-            let assignment: Vec<usize> = chosen
-                .iter()
-                .map(|&c| {
-                    if c == u32::MAX {
-                        UNASSIGNED
-                    } else {
-                        pp_of[c as usize] as usize
-                    }
-                })
-                .collect();
-            mdg_par::scratch::put(chosen);
-            mdg_par::scratch::put(pp_of);
-            let mut covered: Vec<Vec<u32>> = vec![Vec::new(); cands.len()];
-            for (s, &k) in assignment.iter().enumerate() {
-                if k != UNASSIGNED {
-                    covered[k].push(s as u32);
-                }
-            }
-            let polling_points: Vec<PollingPoint> = cands
-                .iter()
-                .zip(covered)
-                .map(|(&c, cov)| PollingPoint {
-                    pos: sensors[c as usize],
-                    candidate: c as usize,
-                    covered: cov,
-                })
-                .collect();
-            GatheringPlan::new(self.sink, polling_points, assignment)
+            self.assemble(&cycle_pts[1..], &cands, dirty)
         };
         debug_assert!(
             (self.plan.tour_length - mdg_geom::closed_tour_length(&cycle_pts)).abs() < 1e-6
@@ -686,6 +650,89 @@ impl HierPlan {
             spliced_stops: spliced,
             tile_side: self.tiling.side(),
         };
+    }
+
+    /// Builds the served plan for the stop order `cands` (global sensor
+    /// ids in tour order, at positions `stops`) by patching the previous
+    /// plan.
+    ///
+    /// A clean tile's members and sub-plan have not changed since the last
+    /// assembly, so its stops' [`PollingPoint`]s, covered lists included,
+    /// move over as they are. Only dirty tiles' stops get fresh covered
+    /// lists, filled from their members in ascending id order. The
+    /// assignment is then rewritten in place in one pass over the new stop
+    /// order: the sensors of the dropped (dirty-tile) stops are cleared
+    /// first, so newly dead ids end up [`UNASSIGNED`], and the id space
+    /// grows to take appended sensors. `dirty: None` runs the same code
+    /// with every tile dirty. The cost is the dirty tiles plus `O(stops +
+    /// live sensors)`, and the result equals a from-scratch assembly.
+    fn assemble(
+        &mut self,
+        stops: &[Point],
+        cands: &[u32],
+        dirty: Option<&[bool]>,
+    ) -> GatheringPlan {
+        let n = self.n_sensors;
+        let tile_dirty = |t: usize| dirty.is_none_or(|mask| mask[t]);
+        let mut old = std::mem::take(&mut self.plan.polling_points);
+        let mut assignment = std::mem::take(&mut self.plan.assignment);
+        self.stop_index.resize(n, u32::MAX);
+        let mut polling_points = Vec::with_capacity(cands.len());
+        for (k, (&c, &pos)) in cands.iter().zip(stops).enumerate() {
+            let slot = &mut self.stop_index[c as usize];
+            let covered = if tile_dirty(self.tiling.tile_of(pos)) {
+                Vec::new()
+            } else {
+                std::mem::take(&mut old[*slot as usize].covered)
+            };
+            *slot = k as u32;
+            polling_points.push(PollingPoint {
+                pos,
+                candidate: c as usize,
+                covered,
+            });
+        }
+        // Only dirty tiles' stops still hold covered lists in `old`; each
+        // of their sensors is dead now or gets a fresh stop below.
+        for pp in &old {
+            for &s in &pp.covered {
+                assignment[s as usize] = UNASSIGNED;
+            }
+        }
+        drop(old);
+        assignment.resize(n, UNASSIGNED);
+
+        // Dirty tiles' covered lists, each allocated once at its size.
+        let dirty_tiles = || {
+            (0..self.tiles.len())
+                .filter(|&t| tile_dirty(t))
+                .filter_map(|t| Some((self.tiles[t].as_ref()?, &self.members[t])))
+        };
+        let mut load: Vec<u32> = mdg_par::scratch::take_cap(cands.len());
+        load.resize(cands.len(), 0);
+        for (tp, _) in dirty_tiles() {
+            for &c in &tp.chosen {
+                load[self.stop_index[c as usize] as usize] += 1;
+            }
+        }
+        for (tp, members) in dirty_tiles() {
+            for (&g, &c) in members.iter().zip(&tp.chosen) {
+                let k = self.stop_index[c as usize] as usize;
+                let covered = &mut polling_points[k].covered;
+                if covered.is_empty() {
+                    covered.reserve_exact(load[k] as usize);
+                }
+                covered.push(g);
+            }
+        }
+        mdg_par::scratch::put(load);
+
+        for (k, pp) in polling_points.iter().enumerate() {
+            for &s in &pp.covered {
+                assignment[s as usize] = k;
+            }
+        }
+        GatheringPlan::new(self.sink, polling_points, assignment)
     }
 }
 
@@ -1292,6 +1339,120 @@ mod tests {
             hp.plan().tour_length,
             cold.plan().tour_length
         );
+    }
+
+    /// The from-scratch assembly [`HierPlan::assemble`] patches: every
+    /// tile's choices scattered into an id-indexed table, mapped to the
+    /// positions of the served stop order, and fresh covered lists for
+    /// every stop.
+    fn assemble_from_scratch(hp: &HierPlan, sensors: &[Point]) -> GatheringPlan {
+        let n = hp.n_sensors;
+        let cands: Vec<u32> = hp
+            .plan
+            .polling_points
+            .iter()
+            .map(|pp| pp.candidate as u32)
+            .collect();
+        let mut chosen = vec![u32::MAX; n];
+        for (t, tp) in hp.tiles.iter().enumerate() {
+            if let Some(tp) = tp {
+                for (i, &g) in hp.members[t].iter().enumerate() {
+                    chosen[g as usize] = tp.chosen[i];
+                }
+            }
+        }
+        let mut pp_of = vec![u32::MAX; n];
+        for (k, &c) in cands.iter().enumerate() {
+            pp_of[c as usize] = k as u32;
+        }
+        let assignment: Vec<usize> = chosen
+            .iter()
+            .map(|&c| {
+                if c == u32::MAX {
+                    UNASSIGNED
+                } else {
+                    pp_of[c as usize] as usize
+                }
+            })
+            .collect();
+        let mut covered: Vec<Vec<u32>> = vec![Vec::new(); cands.len()];
+        for (s, &k) in assignment.iter().enumerate() {
+            if k != UNASSIGNED {
+                covered[k].push(s as u32);
+            }
+        }
+        let polling_points = cands
+            .iter()
+            .zip(covered)
+            .map(|(&c, covered)| PollingPoint {
+                pos: sensors[c as usize],
+                candidate: c as usize,
+                covered,
+            })
+            .collect();
+        GatheringPlan::new(hp.sink, polling_points, assignment)
+    }
+
+    #[test]
+    fn patched_plans_equal_the_from_scratch_assembly_through_a_delta_sequence() {
+        let (mut sensors, sink, mut alive) = field(1500, 900.0, 17);
+        let mut hp = HierPlan::build(&sensors, sink, 30.0, multi_tile_cfg()).unwrap();
+        assert!(hp.stats().n_occupied >= 20, "need a many-tile field");
+        assert_eq!(hp.plan(), &assemble_from_scratch(&hp, &sensors), "cold");
+
+        // The occupied tile with the fewest members is emptied in the
+        // fourth round and re-occupied in the fifth.
+        let smallest = (0..hp.tiling.n_tiles())
+            .filter(|&t| !hp.members[t].is_empty())
+            .min_by_key(|&t| hp.members[t].len())
+            .unwrap();
+        let emptied: Vec<u32> = hp.members[smallest].clone();
+        let reoccupy = sensors[emptied[0] as usize];
+        let kill_half: Vec<u32> = (0..1500u32).step_by(2).collect();
+        let rounds: [(&str, Vec<u32>, Vec<Point>, bool); 7] = [
+            ("a few deaths", vec![3, 4, 900], vec![], false),
+            (
+                "additions and a death",
+                vec![77],
+                vec![Point::new(450.0, 455.0), Point::new(20.0, 880.0)],
+                false,
+            ),
+            ("a repeated death", vec![3, 1200], vec![], false),
+            ("a tile emptied", emptied, vec![], false),
+            (
+                "the emptied tile re-occupied",
+                vec![],
+                vec![reoccupy],
+                false,
+            ),
+            ("escalation", kill_half, vec![], true),
+            (
+                "a delta after the rebuild",
+                vec![1, 1499],
+                vec![Point::new(300.0, 300.0)],
+                false,
+            ),
+        ];
+        for (name, died, added, escalates) in rounds {
+            for &d in &died {
+                alive[d as usize] = false;
+            }
+            sensors.extend(&added);
+            alive.resize(sensors.len(), true);
+            let report = hp.apply_delta(&sensors, &alive, &died, None).unwrap();
+            assert_eq!(report.full_rebuild, escalates, "{name}");
+            hp.plan()
+                .validate_live(&sensors, hp.range(), &alive)
+                .unwrap_or_else(|e| panic!("{name}: {e}"));
+            assert_eq!(
+                hp.plan(),
+                &assemble_from_scratch(&hp, &sensors),
+                "{name}: the patched plan differs from the from-scratch assembly"
+            );
+            if name == "a tile emptied" {
+                assert!(hp.tiles[smallest].is_none(), "the tile has no plan left");
+            }
+        }
     }
 
     #[test]

@@ -311,8 +311,8 @@ fn tour_stops(
     } else {
         let tour = cheapest_insertion(&EuclideanCost::new(&pts));
         if improve_passes > 0 {
-            let nl = NeighborLists::build(&pts, 10);
-            improve_neighbors(&pts, tour, &polish, &nl)
+            let mut nl = NeighborLists::build(&pts, 10);
+            improve_neighbors(&pts, tour, &polish, &mut nl)
         } else {
             tour.normalized()
         }

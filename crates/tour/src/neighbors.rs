@@ -22,72 +22,106 @@ use crate::tour::Tour;
 use mdg_geom::{Point, SpatialGrid};
 use std::collections::VecDeque;
 
-/// Per-city k-nearest-neighbor candidate lists, built once from a
-/// [`SpatialGrid`] over the city coordinates and reused by every
-/// neighbor-list pass.
+/// Per-city k-nearest-neighbor candidate lists over one [`SpatialGrid`]
+/// of the city coordinates, each row computed the first time a pass reads
+/// it.
 ///
-/// Lists are sorted by ascending distance (ties by index), which the 2-opt
+/// A row is a pure function of the points, `k` and the city's own index
+/// (left out of its row), so the order of reads never changes a row: a
+/// full sweep ends up computing every row, while a seeded pass computes
+/// only the rows of the cities it visits — which is what keeps the
+/// hierarchical planner's seam touch-up proportional to the seams.
+/// Rows are sorted by ascending distance (ties by index), which the 2-opt
 /// scan relies on for its early-exit prune.
 #[derive(Debug, Clone)]
-pub struct NeighborLists {
+pub struct NeighborLists<'p> {
+    points: &'p [Point],
+    /// Grid over `points`; `None` when every row is empty.
+    grid: Option<SpatialGrid>,
     /// Per-city list length: `min(k, n - 1)`.
     stride: usize,
-    /// Flattened `n × stride` neighbor indices.
+    /// Flattened `n × stride` rows; row `i` is valid once `filled[i]`.
     flat: Vec<u32>,
+    filled: Vec<bool>,
+    /// Rows computed so far.
+    computed: usize,
+    /// Query scratch for [`SpatialGrid::k_nearest_into`].
+    hits: Vec<(f64, u32)>,
+    knn: Vec<u32>,
 }
 
-impl NeighborLists {
-    /// Builds `k`-nearest-neighbor lists for `points`. The grid cell is
-    /// sized to the mean point spacing so the expected query cost is
-    /// `O(k)` per city.
-    pub fn build(points: &[Point], k: usize) -> Self {
+impl<'p> NeighborLists<'p> {
+    /// Candidate lists of `k` nearest neighbors over `points`. Builds the
+    /// grid only, with the cell sized to the mean point spacing so the
+    /// expected cost of a row is `O(k)`; rows are computed on first read.
+    pub fn build(points: &'p [Point], k: usize) -> Self {
         let n = points.len();
         let stride = k.min(n.saturating_sub(1));
-        if stride == 0 {
-            return NeighborLists {
-                stride,
-                flat: Vec::new(),
-            };
-        }
-        let mut sp = mdg_obs::span("knn_build");
-        sp.add_items(n as u64);
-        let bb = mdg_geom::Aabb::from_points(points).expect("non-empty point set");
-        let area = (bb.width() * bb.height()).max(1e-12);
-        let cell = (area / n as f64).sqrt().max(1e-9);
-        let grid = SpatialGrid::build(points, cell);
-        // Each city's list is an independent grid query, so the k-NN
-        // builds parallelize trivially; every block writes its cities'
-        // rows straight into the (exactly sized) output, so the result is
-        // identical to the sequential build and the only allocation is
-        // `flat` itself. Query scratch comes from the worker's pool.
-        let mut flat = vec![0u32; n * stride];
-        const CITY_BLOCK: usize = 512;
-        mdg_par::par_chunks_mut(&mut flat, CITY_BLOCK * stride, |start, rows| {
-            debug_assert_eq!(start % stride, 0);
-            debug_assert_eq!(rows.len() % stride, 0);
-            let mut hits: Vec<(f64, u32)> = mdg_par::scratch::take();
-            let mut knn: Vec<u32> = mdg_par::scratch::take_cap(stride);
-            for (c, row) in rows.chunks_exact_mut(stride).enumerate() {
-                let i = start / stride + c;
-                grid.k_nearest_into(points[i], stride, Some(i as u32), &mut hits, &mut knn);
-                debug_assert_eq!(knn.len(), stride);
-                row.copy_from_slice(&knn);
-            }
-            mdg_par::scratch::put(hits);
-            mdg_par::scratch::put(knn);
+        let grid = (stride > 0).then(|| {
+            let mut sp = mdg_obs::span("knn_build");
+            sp.add_items(n as u64);
+            let bb = mdg_geom::Aabb::from_points(points).expect("non-empty point set");
+            let area = (bb.width() * bb.height()).max(1e-12);
+            let cell = (area / n as f64).sqrt().max(1e-9);
+            SpatialGrid::build(points, cell)
         });
-        NeighborLists { stride, flat }
+        NeighborLists {
+            points,
+            grid,
+            stride,
+            flat: vec![0; n * stride],
+            filled: vec![false; n],
+            computed: 0,
+            hits: Vec::new(),
+            knn: Vec::with_capacity(stride),
+        }
     }
 
-    /// The candidate list of city `i`, sorted by ascending distance.
-    #[inline]
-    pub fn neighbors(&self, i: usize) -> &[u32] {
-        &self.flat[i * self.stride..(i + 1) * self.stride]
+    /// The candidate list of city `i`, sorted by ascending distance;
+    /// computed on the first call for `i`.
+    pub fn neighbors(&mut self, i: usize) -> &[u32] {
+        self.fill(i);
+        self.row(i)
     }
 
     /// Neighbors kept per city.
     pub fn k(&self) -> usize {
         self.stride
+    }
+
+    /// Rows computed so far: how many cities the passes over these lists
+    /// have read.
+    pub fn rows_computed(&self) -> usize {
+        self.computed
+    }
+
+    /// Computes row `i` unless it is already there.
+    fn fill(&mut self, i: usize) {
+        let Some(grid) = &self.grid else { return };
+        if self.filled[i] {
+            return;
+        }
+        grid.k_nearest_into(
+            self.points[i],
+            self.stride,
+            Some(i as u32),
+            &mut self.hits,
+            &mut self.knn,
+        );
+        debug_assert_eq!(self.knn.len(), self.stride);
+        self.flat[i * self.stride..(i + 1) * self.stride].copy_from_slice(&self.knn);
+        self.filled[i] = true;
+        self.computed += 1;
+    }
+
+    /// Row `i`, which [`NeighborLists::fill`] has computed.
+    #[inline]
+    fn row(&self, i: usize) -> &[u32] {
+        debug_assert!(
+            self.stride == 0 || self.filled[i],
+            "row {i} read before it was filled"
+        );
+        &self.flat[i * self.stride..(i + 1) * self.stride]
     }
 }
 
@@ -167,7 +201,7 @@ fn reverse_cyclic(order: &mut [usize], pos: &mut [u32], from: usize, to: usize) 
 /// cities are examined only once a move wakes them.
 fn two_opt_neighbors_pass(
     points: &[Point],
-    nl: &NeighborLists,
+    nl: &mut NeighborLists,
     order: &mut [usize],
     pos: &mut [u32],
     min_gain: f64,
@@ -256,7 +290,7 @@ fn two_opt_neighbors_pass(
 /// only those (out-of-range and duplicate entries ignored).
 fn or_opt_neighbors_pass(
     points: &[Point],
-    nl: &NeighborLists,
+    nl: &mut NeighborLists,
     order: &mut Vec<usize>,
     pos: &mut [u32],
     max_segment: usize,
@@ -291,7 +325,9 @@ fn or_opt_neighbors_pass(
             }
             // Insertion anchors: cities whose successor edge we would
             // split, drawn from the endpoints' candidate lists.
-            let anchors = nl.neighbors(first).iter().chain(nl.neighbors(last).iter());
+            nl.fill(first);
+            nl.fill(last);
+            let anchors = nl.row(first).iter().chain(nl.row(last).iter());
             for &eu in anchors {
                 let e = eu as usize;
                 let pe = pos[e] as usize;
@@ -348,7 +384,12 @@ fn or_opt_neighbors_pass(
 /// Neighbor-list 2-opt local search over `points` (city `i` at
 /// `points[i]`): the `O(n·k)`-per-sweep analogue of
 /// [`two_opt`](crate::improve::two_opt). Never lengthens the tour.
-pub fn two_opt_neighbors(points: &[Point], tour: Tour, nl: &NeighborLists, min_gain: f64) -> Tour {
+pub fn two_opt_neighbors(
+    points: &[Point],
+    tour: Tour,
+    nl: &mut NeighborLists,
+    min_gain: f64,
+) -> Tour {
     let mut order = tour.into_order();
     let mut pos = take_pos(&order);
     two_opt_neighbors_pass(points, nl, &mut order, &mut pos, min_gain, None);
@@ -369,7 +410,7 @@ pub fn two_opt_neighbors(points: &[Point], tour: Tour, nl: &NeighborLists, min_g
 pub fn two_opt_neighbors_seeded(
     points: &[Point],
     tour: Tour,
-    nl: &NeighborLists,
+    nl: &mut NeighborLists,
     min_gain: f64,
     seeds: &[usize],
 ) -> Tour {
@@ -393,7 +434,7 @@ pub fn two_opt_neighbors_seeded(
 pub fn or_opt_neighbors_seeded(
     points: &[Point],
     tour: Tour,
-    nl: &NeighborLists,
+    nl: &mut NeighborLists,
     max_segment: usize,
     min_gain: f64,
     seeds: &[usize],
@@ -428,8 +469,8 @@ pub fn or_opt_neighbors_seeded(
 ///     Point::new(1.0, 0.0),
 ///     Point::new(0.0, 1.0),
 /// ];
-/// let nl = NeighborLists::build(&pts, 3);
-/// let t = improve_neighbors(&pts, Tour::new(vec![0, 1, 2, 3]), &ImproveConfig::default(), &nl);
+/// let mut nl = NeighborLists::build(&pts, 3);
+/// let t = improve_neighbors(&pts, Tour::new(vec![0, 1, 2, 3]), &ImproveConfig::default(), &mut nl);
 /// let cost = EuclideanCost::new(&pts);
 /// assert!((t.length(&cost) - 4.0).abs() < 1e-9, "uncrossed square is optimal");
 /// ```
@@ -437,7 +478,7 @@ pub fn improve_neighbors(
     points: &[Point],
     tour: Tour,
     cfg: &ImproveConfig,
-    nl: &NeighborLists,
+    nl: &mut NeighborLists,
 ) -> Tour {
     let mut order = tour.into_order();
     let n = order.len();
@@ -481,7 +522,7 @@ mod tests {
     #[test]
     fn lists_are_sorted_and_exclude_self() {
         let pts = random_points(50, 1);
-        let nl = NeighborLists::build(&pts, 8);
+        let mut nl = NeighborLists::build(&pts, 8);
         for (i, &p) in pts.iter().enumerate() {
             let ns = nl.neighbors(i);
             assert_eq!(ns.len(), 8);
@@ -496,6 +537,89 @@ mod tests {
     }
 
     #[test]
+    fn rows_on_demand_equal_the_eager_build_in_any_read_order() {
+        // The eager fill rows used to come from: one query per city, in
+        // city order, on the same mean-spacing grid.
+        fn eager(pts: &[Point], k: usize) -> Vec<Vec<u32>> {
+            let stride = k.min(pts.len().saturating_sub(1));
+            if stride == 0 {
+                return vec![Vec::new(); pts.len()];
+            }
+            let bb = mdg_geom::Aabb::from_points(pts).unwrap();
+            let area = (bb.width() * bb.height()).max(1e-12);
+            let grid = SpatialGrid::build(pts, (area / pts.len() as f64).sqrt().max(1e-9));
+            (0..pts.len())
+                .map(|i| grid.k_nearest(pts[i], stride, Some(i as u32)))
+                .collect()
+        }
+        // Every other point, ordered by (squared distance, index).
+        fn brute(pts: &[Point], i: usize, stride: usize) -> Vec<u32> {
+            let mut all: Vec<(f64, u32)> = (0..pts.len())
+                .filter(|&j| j != i)
+                .map(|j| (pts[j].dist_sq(pts[i]), j as u32))
+                .collect();
+            all.sort_unstable_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
+            all.into_iter().take(stride).map(|(_, j)| j).collect()
+        }
+        let mut stacked = random_points(40, 8);
+        stacked.extend([Point::new(50.0, 50.0); 12]);
+        for (pts, k) in [
+            (random_points(300, 2), 8usize),
+            (random_points(300, 3), 1),
+            (random_points(7, 4), 10),
+            (stacked, 8),
+        ] {
+            let n = pts.len();
+            let reference = eager(&pts, k);
+            let stride = k.min(n - 1);
+            // Forward, backward, and a scattered order that reads some
+            // rows twice.
+            let scattered: Vec<usize> = (0..2 * n).map(|j| (j * 7919 + 13) % n).collect();
+            for order in [
+                (0..n).collect::<Vec<_>>(),
+                (0..n).rev().collect(),
+                scattered,
+            ] {
+                let mut nl = NeighborLists::build(&pts, k);
+                let mut seen = vec![false; n];
+                for &i in &order {
+                    assert_eq!(nl.neighbors(i), &reference[i][..], "n={n} k={k} row {i}");
+                    assert_eq!(
+                        nl.neighbors(i),
+                        &brute(&pts, i, stride)[..],
+                        "n={n} row {i}"
+                    );
+                    seen[i] = true;
+                }
+                let distinct = seen.iter().filter(|&&s| s).count();
+                assert_eq!(nl.rows_computed(), distinct, "each row is computed once");
+            }
+        }
+        // A lone point has no neighbors and computes no row.
+        let one = [Point::new(1.0, 1.0)];
+        let mut nl = NeighborLists::build(&one, 8);
+        assert!(nl.neighbors(0).is_empty());
+        assert_eq!((nl.k(), nl.rows_computed()), (0, 0));
+    }
+
+    #[test]
+    fn seeded_passes_compute_rows_only_near_their_seeds() {
+        // A 400-city identity tour around a circle is already optimal, so
+        // no move wakes anything: each pass reads the rows of its seeds.
+        let pts: Vec<Point> = (0..400)
+            .map(|i| {
+                let a = i as f64 * std::f64::consts::TAU / 400.0;
+                Point::new(500.0 * a.cos(), 500.0 * a.sin())
+            })
+            .collect();
+        let mut nl = NeighborLists::build(&pts, 8);
+        let t = two_opt_neighbors_seeded(&pts, Tour::identity(400), &mut nl, 1e-9, &[5, 200]);
+        let t = or_opt_neighbors_seeded(&pts, t, &mut nl, 3, 1e-9, &[5, 200]);
+        assert_eq!(t.order(), Tour::identity(400).order());
+        assert!(nl.rows_computed() <= 8, "{} rows", nl.rows_computed());
+    }
+
+    #[test]
     fn uncrosses_square() {
         let pts = vec![
             Point::new(0.0, 0.0),
@@ -503,8 +627,8 @@ mod tests {
             Point::new(1.0, 0.0),
             Point::new(0.0, 1.0),
         ];
-        let nl = NeighborLists::build(&pts, 3);
-        let fixed = two_opt_neighbors(&pts, Tour::new(vec![0, 1, 2, 3]), &nl, 1e-9);
+        let mut nl = NeighborLists::build(&pts, 3);
+        let fixed = two_opt_neighbors(&pts, Tour::new(vec![0, 1, 2, 3]), &mut nl, 1e-9);
         let cost = EuclideanCost::new(&pts);
         assert!((fixed.length(&cost) - 4.0).abs() < 1e-9);
     }
@@ -514,10 +638,10 @@ mod tests {
         for seed in 0..10u64 {
             let pts = random_points(60, seed);
             let cost = EuclideanCost::new(&pts);
-            let nl = NeighborLists::build(&pts, 10);
+            let mut nl = NeighborLists::build(&pts, 10);
             let t0 = nearest_neighbor(&cost);
             let len0 = t0.length(&cost);
-            let t1 = improve_neighbors(&pts, t0, &ImproveConfig::default(), &nl);
+            let t1 = improve_neighbors(&pts, t0, &ImproveConfig::default(), &mut nl);
             assert!(t1.length(&cost) <= len0 + 1e-9, "seed {seed}");
             let mut sorted = t1.order().to_vec();
             sorted.sort_unstable();
@@ -532,10 +656,10 @@ mod tests {
         for seed in [3u64, 17, 42] {
             let pts = random_points(40, seed);
             let cost = EuclideanCost::new(&pts);
-            let nl = NeighborLists::build(&pts, 39);
+            let mut nl = NeighborLists::build(&pts, 39);
             let t0 = nearest_neighbor(&cost);
             let dense = improve(&cost, t0.clone(), &ImproveConfig::default());
-            let sparse = improve_neighbors(&pts, t0, &ImproveConfig::default(), &nl);
+            let sparse = improve_neighbors(&pts, t0, &ImproveConfig::default(), &mut nl);
             assert!(
                 sparse.length(&cost) <= dense.length(&cost) * 1.05 + 1e-9,
                 "seed {seed}: sparse {} vs dense {}",
@@ -550,10 +674,11 @@ mod tests {
         for seed in 0..20u64 {
             let pts = random_points(80, seed);
             let cost = EuclideanCost::new(&pts);
-            let nl = NeighborLists::build(&pts, 12);
+            let mut nl = NeighborLists::build(&pts, 12);
             let t0 = nearest_neighbor(&cost);
             let dense = two_opt(&cost, t0.clone()).length(&cost);
-            let sparse = improve_neighbors(&pts, t0, &ImproveConfig::default(), &nl).length(&cost);
+            let sparse =
+                improve_neighbors(&pts, t0, &ImproveConfig::default(), &mut nl).length(&cost);
             assert!(
                 sparse <= dense + 1e-9,
                 "seed {seed}: NL improve {sparse} vs dense 2-opt {dense}"
@@ -604,13 +729,13 @@ mod tests {
     fn seeded_with_all_cities_matches_full_pass() {
         for seed in 0..10u64 {
             let pts = random_points(70, seed);
-            let nl = NeighborLists::build(&pts, 10);
+            let mut nl = NeighborLists::build(&pts, 10);
             let t0 = nearest_neighbor(&EuclideanCost::new(&pts));
             // Seed every city in tour order — exactly the full pass's
             // initial queue — so the runs are move-for-move identical.
             let all: Vec<usize> = t0.order().to_vec();
-            let full = two_opt_neighbors(&pts, t0.clone(), &nl, 1e-9);
-            let seeded = two_opt_neighbors_seeded(&pts, t0, &nl, 1e-9, &all);
+            let full = two_opt_neighbors(&pts, t0.clone(), &mut nl, 1e-9);
+            let seeded = two_opt_neighbors_seeded(&pts, t0, &mut nl, 1e-9, &all);
             assert_eq!(full.order(), seeded.order(), "seed {seed}");
         }
     }
@@ -618,9 +743,9 @@ mod tests {
     #[test]
     fn empty_seeds_leave_the_tour_unchanged() {
         let pts = random_points(30, 5);
-        let nl = NeighborLists::build(&pts, 8);
+        let mut nl = NeighborLists::build(&pts, 8);
         let t0 = Tour::identity(30);
-        let t1 = two_opt_neighbors_seeded(&pts, t0.clone(), &nl, 1e-9, &[]);
+        let t1 = two_opt_neighbors_seeded(&pts, t0.clone(), &mut nl, 1e-9, &[]);
         assert_eq!(t1.order(), t0.normalized().order());
     }
 
@@ -632,12 +757,17 @@ mod tests {
             Point::new(1.0, 0.0),
             Point::new(0.0, 1.0),
         ];
-        let nl = NeighborLists::build(&pts, 3);
+        let mut nl = NeighborLists::build(&pts, 3);
         let cost = EuclideanCost::new(&pts);
         // Seeding any vertex of the crossing edge pair fixes the square;
         // indices past n are silently skipped rather than panicking.
-        let fixed =
-            two_opt_neighbors_seeded(&pts, Tour::new(vec![0, 1, 2, 3]), &nl, 1e-9, &[0, 99, 0]);
+        let fixed = two_opt_neighbors_seeded(
+            &pts,
+            Tour::new(vec![0, 1, 2, 3]),
+            &mut nl,
+            1e-9,
+            &[0, 99, 0],
+        );
         assert!((fixed.length(&cost) - 4.0).abs() < 1e-9);
     }
 
@@ -646,10 +776,10 @@ mod tests {
         for seed in 0..10u64 {
             let pts = random_points(50, seed);
             let cost = EuclideanCost::new(&pts);
-            let nl = NeighborLists::build(&pts, 8);
+            let mut nl = NeighborLists::build(&pts, 8);
             let t0 = Tour::identity(50);
             let len0 = t0.length(&cost);
-            let t1 = two_opt_neighbors_seeded(&pts, t0, &nl, 1e-9, &[0, 10, 20, 30, 40]);
+            let t1 = two_opt_neighbors_seeded(&pts, t0, &mut nl, 1e-9, &[0, 10, 20, 30, 40]);
             assert!(t1.length(&cost) <= len0 + 1e-9, "seed {seed}");
             let mut sorted = t1.order().to_vec();
             sorted.sort_unstable();
@@ -661,7 +791,7 @@ mod tests {
     fn or_opt_seeded_with_all_cities_matches_full_pass() {
         for seed in 0..10u64 {
             let pts = random_points(70, seed);
-            let nl = NeighborLists::build(&pts, 10);
+            let mut nl = NeighborLists::build(&pts, 10);
             let t0 = nearest_neighbor(&EuclideanCost::new(&pts));
             let all: Vec<usize> = t0.order().to_vec();
             let mut order_full = t0.clone().into_order();
@@ -669,9 +799,9 @@ mod tests {
             for (p, &c) in order_full.iter().enumerate() {
                 pos_full[c] = p as u32;
             }
-            or_opt_neighbors_pass(&pts, &nl, &mut order_full, &mut pos_full, 3, 1e-9, None);
+            or_opt_neighbors_pass(&pts, &mut nl, &mut order_full, &mut pos_full, 3, 1e-9, None);
             let full = Tour::from_order_unchecked(order_full).normalized();
-            let seeded = or_opt_neighbors_seeded(&pts, t0, &nl, 3, 1e-9, &all);
+            let seeded = or_opt_neighbors_seeded(&pts, t0, &mut nl, 3, 1e-9, &all);
             assert_eq!(full.order(), seeded.order(), "seed {seed}");
         }
     }
@@ -679,9 +809,9 @@ mod tests {
     #[test]
     fn or_opt_empty_seeds_leave_the_tour_unchanged() {
         let pts = random_points(30, 5);
-        let nl = NeighborLists::build(&pts, 8);
+        let mut nl = NeighborLists::build(&pts, 8);
         let t0 = Tour::identity(30);
-        let t1 = or_opt_neighbors_seeded(&pts, t0.clone(), &nl, 3, 1e-9, &[]);
+        let t1 = or_opt_neighbors_seeded(&pts, t0.clone(), &mut nl, 3, 1e-9, &[]);
         assert_eq!(t1.order(), t0.normalized().order());
     }
 
@@ -690,10 +820,10 @@ mod tests {
         for seed in 0..10u64 {
             let pts = random_points(50, seed);
             let cost = EuclideanCost::new(&pts);
-            let nl = NeighborLists::build(&pts, 8);
+            let mut nl = NeighborLists::build(&pts, 8);
             let t0 = nearest_neighbor(&cost);
             let len0 = t0.length(&cost);
-            let t1 = or_opt_neighbors_seeded(&pts, t0, &nl, 3, 1e-9, &[0, 7, 99, 23, 7]);
+            let t1 = or_opt_neighbors_seeded(&pts, t0, &mut nl, 3, 1e-9, &[0, 7, 99, 23, 7]);
             assert!(t1.length(&cost) <= len0 + 1e-9, "seed {seed}");
             let mut sorted = t1.order().to_vec();
             sorted.sort_unstable();
@@ -705,8 +835,8 @@ mod tests {
     fn tiny_instances_are_untouched() {
         for n in 1..4usize {
             let pts = random_points(n, 0);
-            let nl = NeighborLists::build(&pts, 10);
-            let t = improve_neighbors(&pts, Tour::identity(n), &ImproveConfig::default(), &nl);
+            let mut nl = NeighborLists::build(&pts, 10);
+            let t = improve_neighbors(&pts, Tour::identity(n), &ImproveConfig::default(), &mut nl);
             assert_eq!(t.len(), n);
         }
     }

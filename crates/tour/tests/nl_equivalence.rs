@@ -23,8 +23,8 @@ fn neighbor_list_search_never_longer_than_dense_two_opt() {
         let start: Tour = cheapest_insertion(&cost);
 
         let dense = two_opt(&cost, start.clone());
-        let lists = NeighborLists::build(&pts, 12.min(n - 1));
-        let nl = improve_neighbors(&pts, start.clone(), &ImproveConfig::default(), &lists);
+        let mut lists = NeighborLists::build(&pts, 12.min(n - 1));
+        let nl = improve_neighbors(&pts, start.clone(), &ImproveConfig::default(), &mut lists);
 
         let mut sorted = nl.order().to_vec();
         sorted.sort_unstable();
