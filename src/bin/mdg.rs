@@ -227,13 +227,31 @@ fn opt<T: std::str::FromStr>(flags: &Flags, key: &str, default: T) -> Result<T, 
     }
 }
 
-/// A required flag that must parse as a finite, strictly positive number
-/// (field sides and radio ranges); rejects bad values with a clean error
-/// instead of tripping a library assert.
-fn req_positive(flags: &Flags, key: &str) -> Result<f64, String> {
-    let v: f64 = req(flags, key)?;
+/// `v` if it is finite and strictly positive (field sides, radio ranges,
+/// speeds, deadlines, batteries); a clean error for `--{key}` otherwise,
+/// instead of a library assert tripping on it later.
+fn positive(key: &str, v: f64) -> Result<f64, String> {
     if !(v.is_finite() && v > 0.0) {
         return Err(format!("--{key} must be a positive number, got {v}"));
+    }
+    Ok(v)
+}
+
+/// A required flag that must be a finite, strictly positive number.
+fn req_positive(flags: &Flags, key: &str) -> Result<f64, String> {
+    positive(key, req(flags, key)?)
+}
+
+/// An optional finite, strictly positive number.
+fn opt_positive(flags: &Flags, key: &str, default: f64) -> Result<f64, String> {
+    positive(key, opt(flags, key, default)?)
+}
+
+/// An optional finite, non-negative number (upload pauses).
+fn opt_non_negative(flags: &Flags, key: &str, default: f64) -> Result<f64, String> {
+    let v: f64 = opt(flags, key, default)?;
+    if !(v.is_finite() && v >= 0.0) {
+        return Err(format!("--{key} must be a non-negative number, got {v}"));
     }
     Ok(v)
 }
@@ -401,13 +419,16 @@ fn cmd_plan(flags: &Flags) -> Result<(), String> {
 
 fn cmd_fleet(flags: &Flags) -> Result<(), String> {
     let bundle = load_bundle(flags)?;
-    let speed: f64 = opt(flags, "speed", 1.0)?;
-    let upload: f64 = opt(flags, "upload", 0.5)?;
+    let speed = opt_positive(flags, "speed", 1.0)?;
+    let upload = opt_non_negative(flags, "upload", 0.5)?;
     let fleet_plan = if flags.contains_key("k") {
         let k: usize = req(flags, "k")?;
+        if k == 0 {
+            return Err("--k must be at least 1".into());
+        }
         fleet::plan_fleet(&bundle.plan, k)
     } else if flags.contains_key("deadline") {
-        let deadline: f64 = req(flags, "deadline")?;
+        let deadline = req_positive(flags, "deadline")?;
         fleet::plan_fleet_for_deadline(&bundle.plan, deadline, speed, upload)
             .ok_or("no fleet can meet this deadline (a polling point alone misses it)")?
     } else {
@@ -441,18 +462,16 @@ fn cmd_fleet(flags: &Flags) -> Result<(), String> {
 
 fn cmd_simulate(flags: &Flags) -> Result<(), String> {
     let bundle = load_bundle(flags)?;
-    let speed: f64 = opt(flags, "speed", 1.0)?;
-    let upload: f64 = opt(flags, "upload", 0.5)?;
+    let speed = opt_positive(flags, "speed", 1.0)?;
+    let upload = opt_non_negative(flags, "upload", 0.5)?;
     let cfg = SimConfig {
         speed_mps: speed,
         upload_secs: upload,
         ..SimConfig::default()
     };
     let scen = scenario_from_plan(&bundle.plan, &bundle.deployment.sensors);
-    if let Some(battery) = flags.get("battery") {
-        let battery: f64 = battery
-            .parse()
-            .map_err(|_| "invalid value for --battery".to_string())?;
+    if flags.contains_key("battery") {
+        let battery = req_positive(flags, "battery")?;
         let mut sim = MobileGatheringSim::new(scen, cfg);
         let life = simulate_lifetime(&mut sim, battery, 1_000_000);
         println!("lifetime with {battery} J batteries:");
@@ -495,6 +514,10 @@ fn cmd_runtime(flags: &Flags) -> Result<(), String> {
     if !(0.0..=1.0).contains(&loss) {
         return Err(format!("--loss must be in [0, 1], got {loss}"));
     }
+    let battery_j = flags
+        .contains_key("battery")
+        .then(|| req_positive(flags, "battery"))
+        .transpose()?;
     let policy = match flags.get("policy").map(String::as_str) {
         None | Some("repair") => RepairPolicy::Repair,
         Some("static") => RepairPolicy::Static,
@@ -523,10 +546,7 @@ fn cmd_runtime(flags: &Flags) -> Result<(), String> {
         },
         policy,
         max_rounds: rounds,
-        battery_j: flags
-            .get("battery")
-            .map(|b| b.parse().map_err(|_| "invalid value for --battery"))
-            .transpose()?,
+        battery_j,
         ..RuntimeConfig::default()
     };
     let mut rt = GatheringRuntime::new(network, plan, cfg);

@@ -183,6 +183,78 @@ fn a_zero_cap_is_an_error_not_a_panic() {
 }
 
 #[test]
+fn bad_numeric_flags_are_errors_not_panics() {
+    // Collector counts, speeds, deadlines, upload pauses and batteries
+    // out of range used to reach library asserts (exit 101) or, for a NaN
+    // upload, be taken as a number. Each is `error: …` naming the flag
+    // and exit 1.
+    let bundle = tmp("bad_numbers.json");
+    let out = mdg(&[
+        "plan",
+        "--n",
+        "60",
+        "--side",
+        "150",
+        "--range",
+        "30",
+        "--out",
+        bundle.to_str().unwrap(),
+    ]);
+    assert!(out.status.success(), "{}", stderr(&out));
+    let b = bundle.to_str().unwrap();
+    let cases: [(&[&str], &str); 13] = [
+        (&["fleet", "--k", "0"], "--k"),
+        (&["fleet", "--k", "3", "--speed", "-1"], "--speed"),
+        (&["fleet", "--k", "3", "--speed", "0"], "--speed"),
+        (&["fleet", "--deadline", "100", "--speed", "0"], "--speed"),
+        (&["fleet", "--deadline", "-5"], "--deadline"),
+        (&["fleet", "--deadline", "inf"], "--deadline"),
+        (
+            &["fleet", "--deadline", "100", "--upload", "nan"],
+            "--upload",
+        ),
+        (&["fleet", "--k", "2", "--upload", "-1"], "--upload"),
+        (&["simulate", "--speed", "0"], "--speed"),
+        (&["simulate", "--speed", "nan"], "--speed"),
+        (&["simulate", "--upload", "-1"], "--upload"),
+        (&["simulate", "--battery", "-5"], "--battery"),
+        (&["simulate", "--battery", "nan"], "--battery"),
+    ];
+    for (args, flag) in cases {
+        let mut cmd = vec![args[0], "--bundle", b];
+        cmd.extend_from_slice(&args[1..]);
+        let out = mdg(&cmd);
+        let err = stderr(&out);
+        assert_eq!(out.status.code(), Some(1), "{cmd:?}: {err}");
+        assert!(
+            err.starts_with("error: ") && err.contains(flag),
+            "{cmd:?}: {err}"
+        );
+        assert!(!err.contains("panicked"), "{cmd:?}: {err}");
+    }
+    // `mdg runtime` reads `--battery` the same way.
+    let out = mdg(&[
+        "runtime",
+        "--n",
+        "30",
+        "--side",
+        "100",
+        "--range",
+        "30",
+        "--rounds",
+        "1",
+        "--battery",
+        "-5",
+    ]);
+    let err = stderr(&out);
+    assert_eq!(out.status.code(), Some(1), "{err}");
+    assert!(err.starts_with("error: --battery"), "{err}");
+    // A zero upload pause is a valid setting.
+    let out = mdg(&["simulate", "--bundle", b, "--upload", "0"]);
+    assert!(out.status.success(), "{}", stderr(&out));
+}
+
+#[test]
 fn a_huge_side_is_an_error_not_a_panic() {
     // A 1e200 m side overflows every distance to infinity. Lengths get the
     // bundle and daemon bound instead: `error: …` and exit 1.
