@@ -11,8 +11,10 @@
 //! The headline gate is the million-sensor point (Full profile): warm
 //! dirty-tile deltas must land ≥ 20× under the cold hierarchical plan
 //! with **zero** full rebuilds under small-delta churn — a small delta
-//! dirties a handful of the ~500 occupied tiles, so the work is a few
-//! tile re-plans plus a re-stitch, not a field-wide pass. Every profile
+//! dirties a handful of the ~500 occupied tiles, so the work is those
+//! tiles' re-plans, one `O(live)` assignment pass and `validate_live`
+//! (the re-stitch and the seam touch-up are `O(stops)` or less), not a
+//! field-wide pass. Every profile
 //! additionally replays the smallest point's churn in-process at 1 and 2
 //! worker threads and asserts the final plans are bit-identical to the
 //! daemon's (the determinism contract through the serving stack).

@@ -13,7 +13,9 @@
 //!   member lists and sub-tours — plus the raw sensor positions and the
 //!   alive mask. Deltas run [`HierPlan::apply_delta`]'s dirty-tile
 //!   replan: only tiles touched by the delta are re-planned, so a small
-//!   delta on a million-sensor field costs a few tiles, not the field.
+//!   delta on a million-sensor field costs its dirty tiles, one `O(live)`
+//!   pass that rewrites the plan's assignment, and the closing
+//!   [`GatheringPlan::validate_live`], not a field-wide re-plan.
 //!   The flat session's `O(n²)`-bit coverage bitmap is never built,
 //!   which is what makes warm million-sensor sessions fit in memory.
 //!
