@@ -20,7 +20,7 @@
 
 use crate::params::{Params, Profile};
 use crate::table::Table;
-use mdg_core::{HierConfig, HierPlanner, PlanMetrics, ShdgPlanner};
+use mdg_core::{HierPlanner, PlanMetrics, ShdgPlanner};
 use mdg_net::{DeploymentConfig, Network};
 use std::time::Instant;
 
@@ -168,10 +168,9 @@ pub fn scale_hier(p: &Params) -> Table {
          plan is validated for full coverage; where flat also runs (n <= {FLAT_LIMIT}) the \
          sweep asserts tour_ratio <= {QUALITY_GATE}. The n = {det_n} point re-plans at \
          1/2/8 worker threads and asserts bit-identical plans. Auto tile sizing \
-         (~2048 sensors per tile, HierConfig default {:?} target). Host had {cores} CPU \
-         core(s) available — hier beats flat even single-threaded because per-tile \
-         covering avoids the flat planner's superlinear candidate scan.",
-        HierConfig::default().target_per_tile
+         (~2048 sensors per tile). Host had {cores} CPU core(s) available — hier beats \
+         flat even single-threaded because per-tile covering avoids the flat planner's \
+         superlinear candidate scan."
     );
     t
 }

@@ -7,9 +7,10 @@
 //! geometrically, solve each region as an independent sub-problem, and
 //! join the regional tours. This module implements that pipeline:
 //!
-//! 1. **Tiling** — [`mdg_geom::Tiling`] buckets the sensors into square
-//!    tiles sized so each holds roughly [`HierConfig::target_per_tile`]
-//!    sensors (or explicitly via [`HierConfig::tile_cells`]).
+//! 1. **Tiling** — a [`mdg_geom::Tiling`] lattice of square tiles sized
+//!    so each holds roughly 2 048 sensors (or explicitly via
+//!    [`HierConfig::tile_cells`]); [`HierPlan`] groups the live sensors
+//!    into per-tile member lists by [`mdg_geom::Tiling::tile_of`].
 //! 2. **Per-tile planning** — every non-empty tile runs the flat
 //!    planner's own cover → prune → tour → assign pipeline on a
 //!    *tile-local* sensor-site instance, in parallel across tiles on
@@ -67,7 +68,7 @@ use crate::mutate::UNASSIGNED;
 use crate::plan::{GatheringPlan, PollingPoint};
 use crate::planner::{check_capacity, plan_stops, CandidateMode, PlannerConfig};
 use mdg_cover::CoverageInstance;
-use mdg_geom::{Point, Tiling};
+use mdg_geom::{Aabb, Point, Tiling};
 use mdg_net::Network;
 use mdg_tour::{
     cheapest_insertion_position, or_opt_neighbors_seeded, two_opt_neighbors_seeded, NeighborLists,
@@ -81,8 +82,12 @@ const TOUCH_UP_NEIGHBORS: usize = 8;
 /// Longest segment the Or-opt half of the touch-up may relocate.
 const TOUCH_UP_MAX_SEGMENT: usize = 3;
 
+/// Sensors per tile that automatic tile sizing aims at: small enough that
+/// a tile plans in milliseconds, large enough that seams are rare.
+const TARGET_PER_TILE: usize = 2048;
+
 /// Hierarchical planner configuration.
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct HierConfig {
     /// Per-tile planning configuration. `candidates` must be
     /// [`CandidateMode::SensorSites`]; tile instances are sensor-site by
@@ -91,24 +96,8 @@ pub struct HierConfig {
     /// Explicit tile side, in multiples of the transmission range
     /// (`Some(8.0)` with a 30 m range gives 240 m tiles). `None` sizes
     /// tiles automatically from the field density so each holds about
-    /// [`HierConfig::target_per_tile`] sensors.
+    /// 2 048 sensors.
     pub tile_cells: Option<f64>,
-    /// Auto-sizing target: sensors per tile. Small enough that a tile
-    /// plans in milliseconds, large enough that seams are rare.
-    pub target_per_tile: usize,
-    /// Run the seam-seeded 2-opt/Or-opt touch-up after stitching.
-    pub touch_up: bool,
-}
-
-impl Default for HierConfig {
-    fn default() -> Self {
-        HierConfig {
-            base: PlannerConfig::default(),
-            tile_cells: None,
-            target_per_tile: 2048,
-            touch_up: true,
-        }
-    }
 }
 
 /// How a hierarchical plan came together, for logs and benches.
@@ -208,9 +197,10 @@ impl HierPlanner {
 }
 
 /// A retained hierarchical plan: the finished [`GatheringPlan`] plus the
-/// intermediate state needed to update it incrementally — the tiling,
-/// each tile's live member sensors, each tile's pre-stitch sub-tour, and
-/// where each stop sits in the served plan.
+/// intermediate state needed to update it incrementally — the tile
+/// lattice, each tile's live member sensors (the only membership table),
+/// each tile's pre-stitch sub-tour, and where each stop sits in the served
+/// plan.
 ///
 /// `HierPlan` does **not** own the sensor coordinates: the caller (a
 /// warm serving session, typically) keeps the growing `Vec<Point>` and
@@ -241,7 +231,9 @@ pub struct HierPlan {
     sink: Point,
     range: f64,
     tiling: Tiling,
-    /// Per-tile live member sensor ids, ascending; indexed by tile.
+    /// Per-tile live member sensor ids, ascending; indexed by tile. Every
+    /// live id sits in the list of the tile `tiling.tile_of` maps its
+    /// position to.
     members: Vec<Vec<u32>>,
     /// Per-tile retained sub-plans; `None` = no live members.
     tiles: Vec<Option<TilePlan>>,
@@ -258,7 +250,8 @@ pub struct HierPlan {
 
 impl HierPlan {
     /// Plans `sensors` (all considered alive) hierarchically and retains
-    /// the per-tile state for incremental updates.
+    /// the per-tile state for incremental updates: the full re-plan a
+    /// delta escalates to, run over an all-alive field.
     pub fn build(
         sensors: &[Point],
         sink: Point,
@@ -275,24 +268,13 @@ impl HierPlan {
         check_capacity(&cfg.base)?;
         let mut sp_hier = mdg_obs::span("hier");
         sp_hier.add_items(sensors.len() as u64);
-
-        let side = tile_side_for(&cfg, sensors, range)?;
-        let (tiling, members) = {
-            let _sp = mdg_obs::span("tiling");
-            let tiling = Tiling::build(sensors, side);
-            let members: Vec<Vec<u32>> = (0..tiling.n_tiles())
-                .map(|t| tiling.points_in(t).to_vec())
-                .collect();
-            (tiling, members)
-        };
-        let tiles = plan_all_tiles(sensors, &tiling, &members, range, &cfg.base);
         let mut hp = HierPlan {
             cfg,
             sink,
             range,
-            tiling,
-            members,
-            tiles,
+            tiling: Tiling::build(&[], 1.0),
+            members: Vec::new(),
+            tiles: Vec::new(),
             n_sensors: sensors.len(),
             stop_index: Vec::new(),
             plan: GatheringPlan::new(sink, Vec::new(), Vec::new()),
@@ -300,10 +282,10 @@ impl HierPlan {
                 n_tiles: 0,
                 n_occupied: 0,
                 spliced_stops: 0,
-                tile_side: side,
+                tile_side: 0.0,
             },
         };
-        hp.materialize(None);
+        hp.rebuild_full(sensors, &vec![true; sensors.len()])?;
         Ok(hp)
     }
 
@@ -334,12 +316,10 @@ impl HierPlan {
         (self.plan, self.stats)
     }
 
-    /// Rough heap footprint of the retained state in bytes (tiling CSR
-    /// buckets, the stop index, member lists, sub-tours, and the
-    /// materialized plan) — the serving layer's byte-aware session
-    /// eviction reads this.
+    /// Rough heap footprint of the retained state in bytes (the stop
+    /// index, member lists, sub-tours, and the materialized plan) — the
+    /// serving layer's byte-aware session eviction reads this.
     pub fn approx_bytes(&self) -> u64 {
-        let tiling = self.n_sensors as u64 * 4 + self.tiling.n_tiles() as u64 * 4;
         let stop_index = self.stop_index.len() as u64 * 4;
         let members: u64 = self
             .members
@@ -352,7 +332,7 @@ impl HierPlan {
             .flatten()
             .map(|tp| 72 + tp.stops.len() as u64 * 20 + tp.chosen.len() as u64 * 4)
             .sum::<u64>();
-        tiling + stop_index + members + tiles + self.plan.approx_bytes()
+        stop_index + members + tiles + self.plan.approx_bytes()
     }
 
     /// Applies a delta — sensor deaths, appended sensors, and/or a range
@@ -367,8 +347,8 @@ impl HierPlan {
     /// from the retained sub-tours, and the seam touch-up is seeded only
     /// at seams adjacent to dirty tiles. If at least half the occupied tiles are
     /// dirty — or the range changed, which invalidates every tile's
-    /// cover — the whole plan is rebuilt (fresh tiling included), exactly
-    /// like [`HierPlan::build`] on the live field.
+    /// cover — the whole plan is rebuilt (fresh tiling included) by the
+    /// function [`HierPlan::build`] runs.
     ///
     /// The result is bit-identical at any thread count, and identical to
     /// replaying the same delta sequence on any other machine.
@@ -394,8 +374,8 @@ impl HierPlan {
         let occupied_before = self.stats.n_occupied;
 
         // 1. Route the delta to its dirty tiles via the position → tile
-        //    lattice map. Member lists are updated here even when we end
-        //    up escalating — the full rebuild recomputes them anyway.
+        //    lattice map, updating the member lists (the full rebuild
+        //    recomputes them if the delta escalates).
         //    The dirty mask is O(tiles) and rebuilt every delta, so it
         //    comes from the thread's scratch pool: a warm session replays
         //    deltas on the same thread and reuses the capacity.
@@ -452,6 +432,7 @@ impl HierPlan {
         if range_changed || 2 * n_dirty >= occupied_before.max(1) {
             mdg_obs::counter("hier/delta_full_replans").add(1);
             mdg_par::scratch::put(dirty);
+            let _sp = mdg_obs::span("rebuild");
             self.rebuild_full(sensors, alive)?;
             return Ok(HierDeltaReport {
                 full_rebuild: true,
@@ -508,32 +489,26 @@ impl HierPlan {
         })
     }
 
-    /// Full re-plan of the live field: fresh tiling sized to the live
-    /// density, every occupied tile re-planned, all seams polished.
+    /// Full re-plan of the live field: tile side from the live density,
+    /// a fresh lattice, the member lists, every occupied tile, then the
+    /// stitched plan with every seam polished. [`HierPlan::build`] is this
+    /// over an all-alive field.
     fn rebuild_full(&mut self, sensors: &[Point], alive: &[bool]) -> Result<(), PlanError> {
-        let _sp = mdg_obs::span("rebuild");
-        let live: Vec<Point> = sensors
-            .iter()
-            .zip(alive)
-            .filter_map(|(&p, &a)| a.then_some(p))
-            .collect();
-        let side = tile_side_for(&self.cfg, &live, self.range)?;
-        // The tiling is built over every slot (geometry only — dead
-        // sensors still anchor their id in the CSR buckets) and the
-        // member lists filter to the alive ones.
-        let tiling = Tiling::build(sensors, side);
-        self.members = (0..tiling.n_tiles())
-            .map(|t| {
-                tiling
-                    .points_in(t)
-                    .iter()
-                    .copied()
-                    .filter(|&g| alive[g as usize])
-                    .collect()
-            })
-            .collect();
-        self.tiles = plan_all_tiles(sensors, &tiling, &self.members, self.range, &self.cfg.base);
-        self.tiling = tiling;
+        let side = tile_side_for(&self.cfg, sensors, alive, self.range)?;
+        {
+            let _sp = mdg_obs::span("tiling");
+            // The lattice spans every slot, dead sensors included (geometry
+            // only); the member lists hold the alive ids.
+            self.tiling = Tiling::build(sensors, side);
+            self.members = members_of(&self.tiling, sensors, alive);
+        }
+        self.tiles = plan_all_tiles(
+            sensors,
+            &self.tiling,
+            &self.members,
+            self.range,
+            &self.cfg.base,
+        );
         self.materialize(None);
         Ok(())
     }
@@ -565,7 +540,7 @@ impl HierPlan {
         };
         mdg_obs::counter("hier/spliced_stops").add(spliced as u64);
 
-        if self.cfg.touch_up && self.cfg.base.improve_passes > 0 && cycle_pts.len() >= 5 {
+        if self.cfg.base.improve_passes > 0 && cycle_pts.len() >= 5 {
             let mut sp = mdg_obs::span("touch_up");
             sp.add_items(cycle_pts.len() as u64);
             let m = cands.len();
@@ -737,26 +712,59 @@ impl HierPlan {
 }
 
 /// Resolves the tile side in meters: explicit `tile_cells × range`, or
-/// auto-sized so the expected tile population is `target_per_tile`. Auto
-/// tiles never drop below `2 × range` — tiles narrower than a coverage
-/// disk fragment the cover badly.
-fn tile_side_for(cfg: &HierConfig, live: &[Point], range: f64) -> Result<f64, PlanError> {
+/// auto-sized so the expected tile population of the live sensors is
+/// [`TARGET_PER_TILE`]. Auto tiles never drop below `2 × range` — tiles
+/// narrower than a coverage disk fragment the cover badly.
+fn tile_side_for(
+    cfg: &HierConfig,
+    sensors: &[Point],
+    alive: &[bool],
+    range: f64,
+) -> Result<f64, PlanError> {
     if let Some(cells) = cfg.tile_cells {
-        if !(cells > 0.0 && cells.is_finite()) {
+        let side = cells * range;
+        if !(cells > 0.0 && side > 0.0 && side.is_finite()) {
             return Err(PlanError::Unsupported(format!(
-                "tile size must be a positive finite number of range-cells, got {cells}"
+                "tile size must be a positive number of range-cells whose side in meters \
+                 is positive and finite, got {cells:?} × {range:?} m"
             )));
         }
-        return Ok(cells * range);
+        return Ok(side);
     }
-    if live.is_empty() {
+    let live = sensors
+        .iter()
+        .zip(alive)
+        .filter_map(|(&p, &a)| a.then_some(p));
+    let Some(bb) = live.map(|p| Aabb::new(p, p)).reduce(|a, b| a.union(&b)) else {
         return Ok((2.0 * range).max(1.0));
-    }
-    let bb = mdg_geom::Aabb::from_points(live).expect("non-empty live set");
+    };
+    let n_live = alive.iter().filter(|&&a| a).count();
     let area = (bb.width() * bb.height()).max(1e-12);
-    let target = cfg.target_per_tile.max(1) as f64;
-    let side = (target * area / live.len() as f64).sqrt();
+    let side = (TARGET_PER_TILE as f64 * area / n_live as f64).sqrt();
     Ok(side.max(2.0 * range))
+}
+
+/// Each tile's live member ids, ascending: one pass counts every tile's
+/// live sensors so each list is allocated once at its size, and one pass
+/// in id order fills them.
+fn members_of(tiling: &Tiling, sensors: &[Point], alive: &[bool]) -> Vec<Vec<u32>> {
+    let live_tiles = || {
+        sensors
+            .iter()
+            .zip(alive)
+            .enumerate()
+            .filter(|&(_, (_, &a))| a)
+            .map(|(g, (&p, _))| (g as u32, tiling.tile_of(p)))
+    };
+    let mut counts = vec![0usize; tiling.n_tiles()];
+    for (_, t) in live_tiles() {
+        counts[t] += 1;
+    }
+    let mut members: Vec<Vec<u32>> = counts.into_iter().map(Vec::with_capacity).collect();
+    for (g, t) in live_tiles() {
+        members[t].push(g);
+    }
+    members
 }
 
 /// Plans every occupied tile (non-empty member list), fanned out across
@@ -1069,7 +1077,8 @@ mod tests {
     #[test]
     fn bad_tile_cells_is_a_clean_error() {
         let net = net(50, 200.0, 1);
-        for cells in [0.0, -1.0, f64::NAN, f64::INFINITY] {
+        // 1e308 range-cells is finite, but its side in meters is not.
+        for cells in [0.0, -1.0, f64::NAN, f64::INFINITY, 1e308] {
             let err = HierPlanner::with_config(HierConfig {
                 tile_cells: Some(cells),
                 ..HierConfig::default()
@@ -1090,7 +1099,6 @@ mod tests {
                 ..PlannerConfig::default()
             },
             tile_cells: Some(5.0),
-            ..HierConfig::default()
         })
         .plan(&net)
         .unwrap();
@@ -1109,7 +1117,6 @@ mod tests {
                 ..PlannerConfig::default()
             },
             tile_cells: Some(5.0),
-            ..HierConfig::default()
         })
         .plan(&net)
         .unwrap();
@@ -1126,31 +1133,6 @@ mod tests {
         let a = HierPlanner::with_config(cfg).plan(&net).unwrap();
         let b = HierPlanner::with_config(cfg).plan(&net).unwrap();
         assert_eq!(a, b);
-    }
-
-    #[test]
-    fn touch_up_never_lengthens_the_stitched_tour() {
-        for seed in [2u64, 7, 13] {
-            let net = net(500, 550.0, seed);
-            let base = HierConfig {
-                tile_cells: Some(5.0),
-                touch_up: false,
-                ..HierConfig::default()
-            };
-            let raw = HierPlanner::with_config(base).plan(&net).unwrap();
-            let polished = HierPlanner::with_config(HierConfig {
-                touch_up: true,
-                ..base
-            })
-            .plan(&net)
-            .unwrap();
-            assert!(
-                polished.tour_length <= raw.tour_length + 1e-9,
-                "seed {seed}: touch-up lengthened {} -> {}",
-                raw.tour_length,
-                polished.tour_length
-            );
-        }
     }
 
     // ---- retained HierPlan / apply_delta -------------------------------
@@ -1393,12 +1375,29 @@ mod tests {
         GatheringPlan::new(hp.sink, polling_points, assignment)
     }
 
+    /// Each tile's live member ids recomputed from scratch: the ascending
+    /// live ids whose position `tile_of` maps to that tile.
+    fn members_from_scratch(hp: &HierPlan, sensors: &[Point], alive: &[bool]) -> Vec<Vec<u32>> {
+        (0..hp.tiling.n_tiles())
+            .map(|t| {
+                (0..sensors.len() as u32)
+                    .filter(|&g| alive[g as usize] && hp.tiling.tile_of(sensors[g as usize]) == t)
+                    .collect()
+            })
+            .collect()
+    }
+
     #[test]
     fn patched_plans_equal_the_from_scratch_assembly_through_a_delta_sequence() {
         let (mut sensors, sink, mut alive) = field(1500, 900.0, 17);
         let mut hp = HierPlan::build(&sensors, sink, 30.0, multi_tile_cfg()).unwrap();
         assert!(hp.stats().n_occupied >= 20, "need a many-tile field");
         assert_eq!(hp.plan(), &assemble_from_scratch(&hp, &sensors), "cold");
+        assert_eq!(
+            hp.members,
+            members_from_scratch(&hp, &sensors, &alive),
+            "cold"
+        );
 
         // The occupied tile with the fewest members is emptied in the
         // fourth round and re-occupied in the fifth.
@@ -1448,6 +1447,11 @@ mod tests {
                 hp.plan(),
                 &assemble_from_scratch(&hp, &sensors),
                 "{name}: the patched plan differs from the from-scratch assembly"
+            );
+            assert_eq!(
+                hp.members,
+                members_from_scratch(&hp, &sensors, &alive),
+                "{name}: the member lists differ from the live ids per tile"
             );
             if name == "a tile emptied" {
                 assert!(hp.tiles[smallest].is_none(), "the tile has no plan left");

@@ -110,43 +110,19 @@ impl GatheringPlan {
     /// Validates internal consistency against the deployment: assignments
     /// in range, every sensor assigned exactly once and within `range` of
     /// its polling point, and the `covered` lists matching the assignment.
+    ///
+    /// This is [`GatheringPlan::validate_live`] with every sensor alive,
+    /// which puts each sensor in its own polling point's covered list,
+    /// plus the count that makes the covered lists an exact partition: `n`
+    /// entries in all, so no list holds a sensor twice, a stranger or an
+    /// id past the deployment.
     pub fn validate(&self, sensors: &[Point], range: f64) -> Result<(), String> {
-        if self.assignment.len() != sensors.len() {
-            return Err(format!(
-                "assignment covers {} sensors, deployment has {}",
-                self.assignment.len(),
-                sensors.len()
-            ));
-        }
-        for (s, &pp) in self.assignment.iter().enumerate() {
-            let pp_ref = self
-                .polling_points
-                .get(pp)
-                .ok_or_else(|| format!("sensor {s} assigned to missing polling point {pp}"))?;
-            let d = sensors[s].dist(pp_ref.pos);
-            if d > range + 1e-9 {
-                return Err(format!(
-                    "sensor {s} is {d:.2} m from its polling point (range {range} m)"
-                ));
-            }
-            if !pp_ref.covered.contains(&(s as u32)) {
-                return Err(format!(
-                    "polling point {pp} does not list sensor {s} as covered"
-                ));
-            }
-        }
+        self.validate_live(sensors, range, &vec![true; sensors.len()])?;
         let listed: usize = self.polling_points.iter().map(|pp| pp.covered.len()).sum();
         if listed != sensors.len() {
             return Err(format!(
                 "covered lists contain {listed} entries for {} sensors",
                 sensors.len()
-            ));
-        }
-        let recomputed = closed_tour_length(&self.tour_positions());
-        if (recomputed - self.tour_length).abs() > 1e-6 {
-            return Err(format!(
-                "stored tour length {} != recomputed {}",
-                self.tour_length, recomputed
             ));
         }
         Ok(())

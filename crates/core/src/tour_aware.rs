@@ -217,15 +217,16 @@ pub fn tour_aware_cover(
     let ctr_probes = mdg_obs::counter("tour_aware/cache_probes");
     let mut covered = BitSet::new(n);
     let mut selected = Vec::new();
-    // `selected`/`tour_cands` leave in the result; everything else below
-    // is per-call working state drawn from the thread's scratch pool —
-    // this routine runs once per dirty tile per delta in the hierarchical
-    // planner, so its working set is reused rather than reallocated.
+    // `selected` and `tour_nodes` leave in the result; everything else
+    // below is per-call working state drawn from the thread's scratch
+    // pool — this routine runs once per dirty tile per delta in the
+    // hierarchical planner, so its working set is reused rather than
+    // reallocated.
     let mut tour_pts: Vec<Point> = mdg_par::scratch::take();
     tour_pts.push(sink);
-    let mut tour_cands: Vec<usize> = Vec::new(); // parallel to tour_pts[1..]
-    let mut tour_nodes: Vec<usize> = mdg_par::scratch::take(); // candidate ids, parallel to tour_pts
-    tour_nodes.push(SINK);
+    // Tour node ids parallel to `tour_pts`: `SINK`, then candidate ids in
+    // tour order, which become the result's `tour_candidates`.
+    let mut tour_nodes: Vec<usize> = vec![SINK];
     // `edge_len[i]` = |tour_pts[i] tour_pts[i + 1]|, closing at the sink.
     let mut edge_len: Vec<f64> = mdg_par::scratch::take();
     edge_len.push(0.0);
@@ -340,7 +341,6 @@ pub fn tour_aware_cover(
             .expect("cached edge start is on the tour")
             + 1;
         tour_pts.insert(pos, w_pt);
-        tour_cands.insert(pos - 1, w);
         tour_nodes.insert(pos, w);
         let a_pt = tour_pts[pos - 1];
         let b_pt = tour_pts[(pos + 1) % tour_pts.len()];
@@ -419,16 +419,16 @@ pub fn tour_aware_cover(
         }
     }
     mdg_par::scratch::put(tour_pts);
-    mdg_par::scratch::put(tour_nodes);
     mdg_par::scratch::put(edge_len);
     mdg_par::scratch::put(inv_starts);
     mdg_par::scratch::put(inv);
     mdg_par::scratch::put(cursor);
     mdg_par::scratch::put(gain);
     mdg_par::scratch::put(live);
+    tour_nodes.remove(0);
     Some(TourAwareCover {
         selected,
-        tour_candidates: tour_cands,
+        tour_candidates: tour_nodes,
     })
 }
 

@@ -1,23 +1,23 @@
-//! Square tiling of a point set for hierarchical (divide-and-conquer)
+//! Square tiling of a field for hierarchical (divide-and-conquer)
 //! planning.
 //!
 //! Where [`crate::grid::SpatialGrid`] buckets points for *neighbor
-//! queries* (cells sized to the query radius), [`Tiling`] partitions the
-//! field into coarse square tiles so that each tile can be planned as an
-//! independent sub-problem. The two share the same CSR counting-sort
-//! layout, which keeps point indices ascending inside every bucket and
-//! makes iteration order — and anything derived from it — deterministic.
+//! queries* (cells sized to the query radius), [`Tiling`] lays coarse
+//! square tiles over the field so that each tile can be planned as an
+//! independent sub-problem. A tiling is the lattice alone: it maps a
+//! position to its tile and a tile to its center, and it orders the
+//! tiles. It keeps no membership; a planner that needs each tile's points
+//! groups them with [`Tiling::tile_of`].
 
 use crate::grid::lattice;
 use crate::point::Point;
 
-/// A partition of a point set into square tiles on a row-major lattice.
+/// A row-major lattice of square tiles over a point set's bounding box.
 ///
-/// Every point belongs to exactly one tile (boundary points go to the
-/// tile whose half-open cell `[k·side, (k+1)·side)` contains them, with
-/// the top/right edges clamped into the last row/column). Within a tile,
-/// point indices are in ascending order; tiles are indexed row-major from
-/// the bottom-left corner of the bounding box.
+/// Every position maps to exactly one tile: the half-open cell
+/// `[k·side, (k+1)·side)` that contains it, with the top/right edges
+/// clamped into the last row/column. Tiles are indexed row-major from the
+/// bottom-left corner of the bounding box.
 ///
 /// ```
 /// use mdg_geom::{Point, Tiling};
@@ -25,9 +25,9 @@ use crate::point::Point;
 /// let pts = [Point::new(0.0, 0.0), Point::new(95.0, 5.0), Point::new(5.0, 95.0)];
 /// let tiling = Tiling::build(&pts, 50.0);
 /// assert_eq!(tiling.n_tiles(), 4);
-/// assert_eq!(tiling.points_in(0), &[0]);
-/// assert_eq!(tiling.points_in(1), &[1]);
-/// assert_eq!(tiling.points_in(3), &[] as &[u32]);
+/// assert_eq!(tiling.tile_of(pts[0]), 0);
+/// assert_eq!(tiling.tile_of(pts[1]), 1);
+/// assert_eq!(tiling.tile_of(pts[2]), 2);
 /// ```
 #[derive(Debug, Clone)]
 pub struct Tiling {
@@ -35,13 +35,11 @@ pub struct Tiling {
     cols: usize,
     rows: usize,
     origin: Point,
-    /// CSR-style bucket layout: `starts[t]..starts[t+1]` indexes into `items`.
-    starts: Vec<u32>,
-    items: Vec<u32>,
 }
 
 impl Tiling {
-    /// Partitions `points` into square tiles of the given `side` length.
+    /// Lays square tiles of the given `side` length over the bounding box
+    /// of `points`.
     ///
     /// The requested side is a lower bound: the side grows until there are
     /// at most `3 · max(n, 64) + 1` tiles, sized like
@@ -57,48 +55,20 @@ impl Tiling {
             "tile side must be positive and finite"
         );
         let (origin, side, cols, rows) = lattice(points, side, points.len().max(64));
-        let n_tiles = cols * rows;
-
-        let tiling = Tiling {
+        Tiling {
             side,
             cols,
             rows,
             origin,
-            starts: Vec::new(),
-            items: Vec::new(),
-        };
-        // Two-pass counting sort into CSR buckets; indices stay ascending
-        // within each tile because both passes scan `points` in order.
-        let mut counts = vec![0u32; n_tiles + 1];
-        for &p in points {
-            counts[tiling.tile_of(p) + 1] += 1;
-        }
-        for t in 0..n_tiles {
-            counts[t + 1] += counts[t];
-        }
-        let starts = counts.clone();
-        let mut cursor = counts;
-        let mut items = vec![0u32; points.len()];
-        for (i, &p) in points.iter().enumerate() {
-            let t = tiling.tile_of(p);
-            items[cursor[t] as usize] = i as u32;
-            cursor[t] += 1;
-        }
-        Tiling {
-            starts,
-            items,
-            ..tiling
         }
     }
 
     /// The tile that owns position `p`: the half-open lattice cell
     /// containing it, clamped into the lattice for positions on (or
     /// beyond) the top/right edges of the bounding box the tiling was
-    /// built from. This is the same mapping the constructor bucketed with,
-    /// so for any point of the original set it returns the tile whose
-    /// [`Tiling::points_in`] bucket holds it — and it extends to *new*
-    /// positions (sensors added after the tiling was built), which is what
-    /// lets an incremental planner route a delta to its dirty tile.
+    /// built from. It extends to *new* positions (sensors added after the
+    /// tiling was built), which is what lets an incremental planner route
+    /// a delta to its dirty tile.
     pub fn tile_of(&self, p: Point) -> usize {
         let tx = (((p.x - self.origin.x) / self.side).floor() as usize).min(self.cols - 1);
         let ty = (((p.y - self.origin.y) / self.side).floor() as usize).min(self.rows - 1);
@@ -124,11 +94,6 @@ impl Tiling {
     /// Total number of tiles (including empty ones).
     pub fn n_tiles(&self) -> usize {
         self.cols * self.rows
-    }
-
-    /// Indices of the points in tile `t`, ascending.
-    pub fn points_in(&self, t: usize) -> &[u32] {
-        &self.items[self.starts[t] as usize..self.starts[t + 1] as usize]
     }
 
     /// Center of tile `t` in field coordinates.
@@ -168,7 +133,7 @@ mod tests {
     }
 
     #[test]
-    fn every_point_lands_in_exactly_one_tile() {
+    fn points_map_to_their_cells_and_edges_clamp_inward() {
         let points = pts(&[
             (0.0, 0.0),
             (10.0, 10.0),
@@ -178,28 +143,13 @@ mod tests {
             (50.0, 50.0),
         ]);
         let tiling = Tiling::build(&points, 25.0);
-        let mut seen = vec![false; points.len()];
-        for t in 0..tiling.n_tiles() {
-            for &i in tiling.points_in(t) {
-                assert!(!seen[i as usize], "point {i} bucketed twice");
-                seen[i as usize] = true;
-            }
-        }
-        assert!(seen.iter().all(|&s| s), "every point must be bucketed");
-    }
-
-    #[test]
-    fn indices_ascend_within_each_tile() {
-        let points = pts(&[(1.0, 1.0), (2.0, 2.0), (80.0, 80.0), (3.0, 3.0)]);
-        let tiling = Tiling::build(&points, 50.0);
-        for t in 0..tiling.n_tiles() {
-            let bucket = tiling.points_in(t);
-            assert!(
-                bucket.windows(2).all(|w| w[0] < w[1]),
-                "tile {t}: {bucket:?}"
-            );
-        }
-        assert_eq!(tiling.points_in(0), &[0, 1, 3]);
+        assert_eq!((tiling.cols(), tiling.rows()), (4, 4));
+        let tiles: Vec<usize> = points.iter().map(|&p| tiling.tile_of(p)).collect();
+        assert_eq!(tiles, vec![0, 0, 3, 12, 15, 10]);
+        // Positions past the top/right edge of the box clamp into the
+        // last column and row.
+        assert_eq!(tiling.tile_of(Point::new(500.0, 0.0)), 3);
+        assert_eq!(tiling.tile_of(Point::new(0.0, 500.0)), 12);
     }
 
     #[test]
@@ -224,7 +174,7 @@ mod tests {
         for points in [vec![], pts(&[(5.0, 5.0)]), pts(&[(5.0, 5.0), (5.0, 5.0)])] {
             let tiling = Tiling::build(&points, 10.0);
             assert_eq!(tiling.n_tiles(), 1);
-            assert_eq!(tiling.points_in(0).len(), points.len());
+            assert!(points.iter().all(|&p| tiling.tile_of(p) == 0));
         }
     }
 

@@ -30,7 +30,7 @@
 //!    changed. The spatial structures are rebuilt for the new geometry —
 //!    `O(n)` spatial work, still far from a cold plan — then repair runs.
 //!    Hier sessions absorb additions through the dirty-tile path
-//!    directly (the tiling buckets new positions without a rebuild).
+//!    directly (the tile lattice maps new positions without a rebuild).
 //! 3. **Full replan**: flat repair escalates when it lost too much of
 //!    the tour ([`RepairConfig::full_replan_stop_fraction`]); hier deltas
 //!    escalate when ≥ 50% of occupied tiles are dirty or the range

@@ -249,6 +249,26 @@ fn bad_numeric_flags_are_errors_not_panics() {
     let err = stderr(&out);
     assert_eq!(out.status.code(), Some(1), "{err}");
     assert!(err.starts_with("error: --battery"), "{err}");
+    // `--tile-cells 1e308` is finite, but its tile side in meters is not.
+    let out = mdg(&[
+        "plan",
+        "--n",
+        "200",
+        "--side",
+        "200",
+        "--range",
+        "30",
+        "--hier",
+        "--tile-cells",
+        "1e308",
+    ]);
+    let err = stderr(&out);
+    assert_eq!(out.status.code(), Some(1), "{err}");
+    assert!(
+        err.starts_with("error: ") && err.contains("tile size"),
+        "{err}"
+    );
+    assert!(!err.contains("panicked"), "{err}");
     // A zero upload pause is a valid setting.
     let out = mdg(&["simulate", "--bundle", b, "--upload", "0"]);
     assert!(out.status.success(), "{}", stderr(&out));

@@ -220,7 +220,6 @@ fn hier_plans_match_the_golden_corpus() {
             let cfg = HierConfig {
                 base,
                 tile_cells: Some(cells),
-                ..HierConfig::default()
             };
             let (plan, stats) = HierPlanner::with_config(cfg).plan_with_stats(&net).unwrap();
             assert_eq!(stats.n_occupied, occupied, "{id}");

@@ -109,7 +109,6 @@ fn hier_determinism_holds_for_every_covering_strategy() {
         let cfg = HierConfig {
             base,
             tile_cells: Some(6.0),
-            ..HierConfig::default()
         };
         let plan = assert_thread_count_invariant(&cfg, &net, label);
         plan.validate(&net.deployment.sensors, RANGE)
