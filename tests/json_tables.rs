@@ -50,6 +50,27 @@ fn writer_output_matches_the_table() {
     writes_flat(&1.5f32, "1.5");
     writes_flat(&0.1f32, "0.10000000149011612");
 
+    // The classes a shortest-digit port gets wrong. Exact midpoints
+    // between the two shortest candidates round up in magnitude, not to
+    // even (each sum is exact).
+    writes_flat(&-(802_868_034_164_149.0 + 0.25), "-802868034164149.3");
+    writes_flat(&-(3_880_559_781_807.0 + 0.906_25), "-3880559781807.9063");
+    writes_flat(&-(71_784_402_789.0 + 0.890_625), "-71784402789.89063");
+    // The smallest subnormals take one digit where one suffices.
+    writes_flat(&1e-323f64, &format!("0.{}1", "0".repeat(322)));
+    writes_flat(&1e-322f64, &format!("0.{}1", "0".repeat(321)));
+    writes_flat(
+        &f64::MIN_POSITIVE,
+        &format!("0.{}22250738585072014", "0".repeat(307)),
+    );
+    // 2^53 sits on a binade edge, where the interval below is half as
+    // wide as the one above.
+    writes_flat(&9_007_199_254_740_992.0f64, "9007199254740992");
+    writes_flat(&9_007_199_254_740_994.0f64, "9007199254740994");
+    writes_flat(&1e23f64, "100000000000000000000000");
+    writes_flat(&999_999_999_999_999.5f64, "999999999999999.5");
+    writes_flat(&(0.1f64 + 0.2), "0.30000000000000004");
+
     // Integers at their extremes, through every width.
     writes_flat(&u64::MAX, "18446744073709551615");
     writes_flat(&i64::MIN, "-9223372036854775808");
