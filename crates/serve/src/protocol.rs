@@ -138,6 +138,28 @@ pub struct GetPlanResponse {
     pub plan: GatheringPlan,
 }
 
+/// A [`GetPlanResponse`] over borrowed fields: the daemon writes the reply
+/// straight from the session's plan, under its lock, without copying it.
+/// The text is the derived impl's, byte for byte.
+pub(crate) struct GetPlanReply<'a> {
+    pub field: &'a str,
+    pub generation: u64,
+    pub range: f64,
+    pub plan: &'a GatheringPlan,
+}
+
+impl Serialize for GetPlanReply<'_> {
+    fn serialize(&self, s: &mut serde::Serializer) {
+        s.begin_object();
+        s.field("ok", &true);
+        s.field("field", self.field);
+        s.field("generation", &self.generation);
+        s.field("range", &self.range);
+        s.field("plan", self.plan);
+        s.end_object();
+    }
+}
+
 /// One phase-span record in a [`MetricsResponse`] (mirrors
 /// `mdg_obs::SpanRecord`).
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -409,6 +431,60 @@ mod tests {
             read_request_line(&mut r, 64).unwrap(),
             LineRead::Oversized
         ));
+    }
+
+    #[test]
+    fn get_plan_reply_writes_the_derived_text() {
+        use mdg_core::PollingPoint;
+        let sink = Point { x: 50.0, y: 0.25 };
+        let polling_points = vec![
+            PollingPoint {
+                pos: Point { x: 1.5, y: 2.0 },
+                candidate: 0,
+                covered: vec![0, 3],
+            },
+            PollingPoint {
+                pos: Point {
+                    x: 1e-7,
+                    y: 4_471.999_999_999_9,
+                },
+                candidate: 2,
+                covered: vec![2],
+            },
+            PollingPoint {
+                pos: Point { x: 9e15, y: 3.0 },
+                candidate: usize::MAX,
+                covered: vec![],
+            },
+        ];
+        // Sensors 1 and 4 are dead.
+        let assignment = vec![0, usize::MAX, 1, 0, usize::MAX];
+        for plan in [
+            GatheringPlan::new(sink, polling_points, assignment),
+            GatheringPlan::new(sink, vec![], vec![usize::MAX; 3]),
+        ] {
+            let borrowed = GetPlanReply {
+                field: "f\"\u{1}😀",
+                generation: 7,
+                range: 30.5,
+                plan: &plan,
+            };
+            let owned = GetPlanResponse {
+                ok: true,
+                field: borrowed.field.to_string(),
+                generation: borrowed.generation,
+                range: borrowed.range,
+                plan: plan.clone(),
+            };
+            assert_eq!(
+                serde_json::to_string(&borrowed).unwrap(),
+                serde_json::to_string(&owned).unwrap()
+            );
+            assert_eq!(
+                serde_json::to_string_pretty(&borrowed).unwrap(),
+                serde_json::to_string_pretty(&owned).unwrap()
+            );
+        }
     }
 
     #[test]

@@ -766,12 +766,11 @@ fn handle_get_plan(req: &Request, shared: &Shared) -> Result<String, HandlerErro
             )
         })?;
     let session = lock_unpoisoned(&session);
-    Ok(ok_json(&GetPlanResponse {
-        ok: true,
-        field: session.name.clone(),
+    Ok(ok_json(&GetPlanReply {
+        field: &session.name,
         generation: session.generation,
         range: session.range(),
-        plan: session.plan().clone(),
+        plan: session.plan(),
     }))
 }
 
