@@ -376,11 +376,7 @@ impl HierPlan {
         // 1. Route the delta to its dirty tiles via the position → tile
         //    lattice map, updating the member lists (the full rebuild
         //    recomputes them if the delta escalates).
-        //    The dirty mask is O(tiles) and rebuilt every delta, so it
-        //    comes from the thread's scratch pool: a warm session replays
-        //    deltas on the same thread and reuses the capacity.
-        let mut dirty: Vec<bool> = mdg_par::scratch::take_cap(self.tiling.n_tiles());
-        dirty.resize(self.tiling.n_tiles(), false);
+        let mut dirty = vec![false; self.tiling.n_tiles()];
         let mut n_dirty = 0usize;
         {
             let _sp = mdg_obs::span("dirty_map");
@@ -416,7 +412,6 @@ impl HierPlan {
         }
 
         if n_dirty == 0 && !range_changed {
-            mdg_par::scratch::put(dirty);
             return Ok(HierDeltaReport {
                 full_rebuild: false,
                 dirty_tiles: 0,
@@ -431,7 +426,6 @@ impl HierPlan {
         //    patching the old one.
         if range_changed || 2 * n_dirty >= occupied_before.max(1) {
             mdg_obs::counter("hier/delta_full_replans").add(1);
-            mdg_par::scratch::put(dirty);
             let _sp = mdg_obs::span("rebuild");
             self.rebuild_full(sensors, alive)?;
             return Ok(HierDeltaReport {
@@ -444,8 +438,7 @@ impl HierPlan {
 
         // 3. Re-plan the dirty tiles only, fanned out in serpentine order.
         mdg_obs::counter("hier/dirty_tiles").add(n_dirty as u64);
-        let mut dirty_list: Vec<usize> = mdg_par::scratch::take();
-        dirty_list.extend(self.tiling.serpentine().filter(|&t| dirty[t]));
+        let dirty_list: Vec<usize> = self.tiling.serpentine().filter(|&t| dirty[t]).collect();
         let replanned: Vec<Option<TilePlan>> = {
             let mut sp = mdg_obs::span("replan_tiles");
             sp.add_items(dirty_list.len() as u64);
@@ -479,8 +472,6 @@ impl HierPlan {
         // 4. Re-stitch from the retained sub-tours and polish only the
         //    dirty-adjacent seams.
         self.materialize(Some(&dirty));
-        mdg_par::scratch::put(dirty);
-        mdg_par::scratch::put(dirty_list);
         Ok(HierDeltaReport {
             full_rebuild: false,
             dirty_tiles: n_dirty,
@@ -528,15 +519,9 @@ impl HierPlan {
             .filter_map(|t| self.tiles[t].as_ref())
             .collect();
         let n_occupied = ordered.len();
-        // The stitch buffers are O(stops) and rebuilt every materialize;
-        // scratch-pooling them keeps warm deltas off the allocator for
-        // the three biggest temporaries of the re-stitch.
-        let mut cycle_pts: Vec<Point> = mdg_par::scratch::take();
-        let mut cands: Vec<u32> = mdg_par::scratch::take();
-        let mut seam: Vec<bool> = mdg_par::scratch::take();
-        let spliced = {
+        let (mut cycle_pts, mut cands, seam, spliced) = {
             let _sp = mdg_obs::span("stitch");
-            stitch(self.sink, &ordered, &mut cycle_pts, &mut cands, &mut seam)
+            stitch(self.sink, &ordered)
         };
         mdg_obs::counter("hier/spliced_stops").add(spliced as u64);
 
@@ -544,7 +529,7 @@ impl HierPlan {
             let mut sp = mdg_obs::span("touch_up");
             sp.add_items(cycle_pts.len() as u64);
             let m = cands.len();
-            let mut seeds: Vec<usize> = mdg_par::scratch::take();
+            let mut seeds: Vec<usize> = Vec::new();
             match dirty {
                 None => {
                     // The sink joins two seams; every flagged stop is one.
@@ -559,8 +544,10 @@ impl HierPlan {
                     // Only seams whose tour neighborhood touches a dirty
                     // tile need re-polishing; clean seams were polished
                     // when their tiles last changed.
-                    let mut stop_dirty: Vec<bool> = mdg_par::scratch::take_cap(m);
-                    stop_dirty.extend(cycle_pts[1..].iter().map(|&p| mask[self.tiling.tile_of(p)]));
+                    let stop_dirty: Vec<bool> = cycle_pts[1..]
+                        .iter()
+                        .map(|&p| mask[self.tiling.tile_of(p)])
+                        .collect();
                     if stop_dirty[0] || stop_dirty[m - 1] {
                         seeds.push(0);
                     }
@@ -574,7 +561,6 @@ impl HierPlan {
                             seeds.push(k + 1);
                         }
                     }
-                    mdg_par::scratch::put(stop_dirty);
                 }
             };
             if !seeds.is_empty() {
@@ -599,14 +585,9 @@ impl HierPlan {
                 mdg_obs::counter("hier/knn_rows").add(nl.rows_computed() as u64);
                 let order = tour.order();
                 debug_assert_eq!(order[0], 0, "normalized tours lead with the depot");
-                let mut new_pts: Vec<Point> = mdg_par::scratch::take_cap(cycle_pts.len());
-                new_pts.extend(order.iter().map(|&i| cycle_pts[i]));
-                let mut new_cands: Vec<u32> = mdg_par::scratch::take_cap(cands.len());
-                new_cands.extend(order[1..].iter().map(|&i| cands[i - 1]));
-                mdg_par::scratch::put(std::mem::replace(&mut cycle_pts, new_pts));
-                mdg_par::scratch::put(std::mem::replace(&mut cands, new_cands));
+                cycle_pts = order.iter().map(|&i| cycle_pts[i]).collect();
+                cands = order[1..].iter().map(|&i| cands[i - 1]).collect();
             }
-            mdg_par::scratch::put(seeds);
         }
 
         self.plan = {
@@ -616,9 +597,6 @@ impl HierPlan {
         debug_assert!(
             (self.plan.tour_length - mdg_geom::closed_tour_length(&cycle_pts)).abs() < 1e-6
         );
-        mdg_par::scratch::put(cycle_pts);
-        mdg_par::scratch::put(cands);
-        mdg_par::scratch::put(seam);
         self.stats = HierStats {
             n_tiles: self.tiling.n_tiles(),
             n_occupied,
@@ -683,8 +661,7 @@ impl HierPlan {
                 .filter(|&t| tile_dirty(t))
                 .filter_map(|t| Some((self.tiles[t].as_ref()?, &self.members[t])))
         };
-        let mut load: Vec<u32> = mdg_par::scratch::take_cap(cands.len());
-        load.resize(cands.len(), 0);
+        let mut load = vec![0u32; cands.len()];
         for (tp, _) in dirty_tiles() {
             for &c in &tp.chosen {
                 load[self.stop_index[c as usize] as usize] += 1;
@@ -700,7 +677,6 @@ impl HierPlan {
                 covered.push(g);
             }
         }
-        mdg_par::scratch::put(load);
 
         for (k, pp) in polling_points.iter().enumerate() {
             for &s in &pp.covered {
@@ -829,28 +805,17 @@ fn plan_tile(
 /// individually at their cheapest insertion position — an "empty-ish
 /// tile" never panics, it just rides the splice path.
 ///
-/// Writes the cycle into caller-owned buffers (cleared first): `cycle_pts`
-/// gets the positions with the sink first, `cands` the global sensor id
-/// per stop, `seam` a seam flag per stop. Returns the spliced stop count.
-/// Buffer reuse keeps the per-delta re-stitch off the allocator.
-fn stitch(
-    sink: Point,
-    tile_plans: &[&TilePlan],
-    cycle_pts: &mut Vec<Point>,
-    cands: &mut Vec<u32>,
-    seam: &mut Vec<bool>,
-) -> usize {
+/// Returns the cycle's positions with the sink first, the global sensor
+/// id per stop, a seam flag per stop, and the spliced stop count.
+fn stitch(sink: Point, tile_plans: &[&TilePlan]) -> (Vec<Point>, Vec<u32>, Vec<bool>, usize) {
     let total: usize = tile_plans.iter().map(|tp| tp.stops.len()).sum();
-    cycle_pts.clear();
-    cycle_pts.reserve(total + 1);
+    let mut cycle_pts = Vec::with_capacity(total + 1);
     cycle_pts.push(sink);
-    cands.clear();
-    cands.reserve(total);
-    seam.clear();
-    seam.reserve(total);
-    let mut deferred: Vec<(Point, u32)> = mdg_par::scratch::take();
+    let mut cands = Vec::with_capacity(total);
+    let mut seam = Vec::with_capacity(total);
+    let mut deferred: Vec<(Point, u32)> = Vec::new();
 
-    let mut path: Vec<usize> = mdg_par::scratch::take();
+    let mut path: Vec<usize> = Vec::new();
     for &tp in tile_plans {
         let m = tp.stops.len();
         if m == 0 {
@@ -886,12 +851,11 @@ fn stitch(
         seam[start] = true;
         *seam.last_mut().expect("just pushed") = true;
     }
-    mdg_par::scratch::put(path);
 
     // Splice the stragglers one by one.
     let spliced = deferred.len();
     for &(p, c) in &deferred {
-        let (idx, _) = cheapest_insertion_position(cycle_pts, p);
+        let (idx, _) = cheapest_insertion_position(&cycle_pts, p);
         cycle_pts.insert(idx, p);
         cands.insert(idx - 1, c);
         seam.insert(idx - 1, true);
@@ -903,8 +867,7 @@ fn stitch(
             seam[idx] = true;
         }
     }
-    mdg_par::scratch::put(deferred);
-    spliced
+    (cycle_pts, cands, seam, spliced)
 }
 
 #[cfg(test)]
@@ -1037,23 +1000,15 @@ mod tests {
             cands: vec![4],
             chosen: vec![],
         };
-        let (mut pts, mut cands, mut seam) = (Vec::new(), Vec::new(), Vec::new());
-        let spliced = stitch(
-            sink,
-            &[&e1, &square, &e2, &lone, &e3],
-            &mut pts,
-            &mut cands,
-            &mut seam,
-        );
+        let (pts, cands, seam, spliced) = stitch(sink, &[&e1, &square, &e2, &lone, &e3]);
         assert_eq!(pts.len(), 6, "sink + 4 square stops + 1 spliced");
         assert_eq!(cands.len(), 5);
         assert_eq!(seam.len(), 5);
         assert_eq!(spliced, 1);
         assert!(cands.contains(&4), "the lone stop was spliced in");
 
-        // All tiles empty: just the sink, nothing spliced (and the
-        // out-buffers are cleared of the previous stitch).
-        let spliced = stitch(sink, &[&e1], &mut pts, &mut cands, &mut seam);
+        // All tiles empty: just the sink, nothing spliced.
+        let (pts, cands, _, spliced) = stitch(sink, &[&e1]);
         assert_eq!(pts, vec![sink]);
         assert!(cands.is_empty());
         assert_eq!(spliced, 0);

@@ -238,20 +238,17 @@ pub(crate) fn plan_stops(
         let _sp = mdg_obs::span("prune");
         let first = usize::from(depot.is_some());
         let prelim = tour_stops(inst, depot, &selected, 0);
-        let mut cycle: Vec<Point> = mdg_par::scratch::take_cap(prelim.len() + first);
+        let mut cycle: Vec<Point> = Vec::with_capacity(prelim.len() + first);
         cycle.extend(depot);
         cycle.extend(prelim.iter().map(|&c| inst.candidates[c].pos));
         let m = cycle.len();
-        let mut detour: Vec<f64> = mdg_par::scratch::take_cap(inst.n_candidates());
-        detour.resize(inst.n_candidates(), 0.0);
+        let mut detour = vec![0.0; inst.n_candidates()];
         for (k, &c) in prelim.iter().enumerate() {
             let i = k + first;
             let (prev, p, next) = (cycle[(i + m - 1) % m], cycle[i], cycle[(i + 1) % m]);
             detour[c] = prev.dist(p) + p.dist(next) - prev.dist(next);
         }
         selected = prune_cover(inst, &selected, |c| detour[c]);
-        mdg_par::scratch::put(cycle);
-        mdg_par::scratch::put(detour);
     }
 
     let tour = {
@@ -291,7 +288,7 @@ fn tour_stops(
     improve_passes: usize,
 ) -> Vec<usize> {
     let first = usize::from(depot.is_some());
-    let mut pts: Vec<Point> = mdg_par::scratch::take_cap(selected.len() + first);
+    let mut pts: Vec<Point> = Vec::with_capacity(selected.len() + first);
     pts.extend(depot);
     pts.extend(selected.iter().map(|&c| inst.candidates[c].pos));
     let polish = ImproveConfig {
@@ -317,7 +314,6 @@ fn tour_stops(
             tour.normalized()
         }
     };
-    mdg_par::scratch::put(pts);
     let order = tour.order();
     debug_assert_eq!(order[0], 0, "normalized tours lead with vertex 0");
     order[first..]

@@ -217,24 +217,16 @@ pub fn tour_aware_cover(
     let ctr_probes = mdg_obs::counter("tour_aware/cache_probes");
     let mut covered = BitSet::new(n);
     let mut selected = Vec::new();
-    // `selected` and `tour_nodes` leave in the result; everything else
-    // below is per-call working state drawn from the thread's scratch
-    // pool — this routine runs once per dirty tile per delta in the
-    // hierarchical planner, so its working set is reused rather than
-    // reallocated.
-    let mut tour_pts: Vec<Point> = mdg_par::scratch::take();
-    tour_pts.push(sink);
+    let mut tour_pts: Vec<Point> = vec![sink];
     // Tour node ids parallel to `tour_pts`: `SINK`, then candidate ids in
     // tour order, which become the result's `tour_candidates`.
     let mut tour_nodes: Vec<usize> = vec![SINK];
     // `edge_len[i]` = |tour_pts[i] tour_pts[i + 1]|, closing at the sink.
-    let mut edge_len: Vec<f64> = mdg_par::scratch::take();
-    edge_len.push(0.0);
+    let mut edge_len: Vec<f64> = vec![0.0];
     let mut remaining = n;
 
     // Inverted index in CSR form: candidates covering each target.
-    let mut inv_starts: Vec<u32> = mdg_par::scratch::take_cap(n + 1);
-    inv_starts.resize(n + 1, 0);
+    let mut inv_starts: Vec<u32> = vec![0; n + 1];
     for cand in &inst.candidates {
         for t in cand.covers.iter_ones() {
             inv_starts[t + 1] += 1;
@@ -243,10 +235,8 @@ pub fn tour_aware_cover(
     for t in 0..n {
         inv_starts[t + 1] += inv_starts[t];
     }
-    let mut inv: Vec<u32> = mdg_par::scratch::take_cap(inv_starts[n] as usize);
-    inv.resize(inv_starts[n] as usize, 0);
-    let mut cursor: Vec<u32> = mdg_par::scratch::take_cap(n + 1);
-    cursor.extend_from_slice(&inv_starts);
+    let mut inv: Vec<u32> = vec![0; inv_starts[n] as usize];
+    let mut cursor = inv_starts.clone();
     for (c, cand) in inst.candidates.iter().enumerate() {
         for t in cand.covers.iter_ones() {
             inv[cursor[t] as usize] = c as u32;
@@ -254,10 +244,9 @@ pub fn tour_aware_cover(
         }
     }
 
-    let mut gain: Vec<usize> = mdg_par::scratch::take_cap(n_cands);
-    gain.extend(inst.candidates.iter().map(|c| c.covers.count()));
+    let mut gain: Vec<usize> = inst.candidates.iter().map(|c| c.covers.count()).collect();
     // The cache entries are valid once the tour has ≥ 2 points.
-    let mut live: Vec<LiveCand> = mdg_par::scratch::take_cap(n_cands);
+    let mut live: Vec<LiveCand> = Vec::with_capacity(n_cands);
     live.extend(
         inst.candidates
             .iter()
@@ -418,13 +407,6 @@ pub fn tour_aware_cover(
             });
         }
     }
-    mdg_par::scratch::put(tour_pts);
-    mdg_par::scratch::put(edge_len);
-    mdg_par::scratch::put(inv_starts);
-    mdg_par::scratch::put(inv);
-    mdg_par::scratch::put(cursor);
-    mdg_par::scratch::put(gain);
-    mdg_par::scratch::put(live);
     tour_nodes.remove(0);
     Some(TourAwareCover {
         selected,

@@ -2,12 +2,12 @@
 //! quantity.
 //!
 //! The workspace's steady-state paths (warm `delta`s, per-tile replans)
-//! are supposed to be allocation-free; this module makes that property
-//! *measurable* instead of aspirational. [`CountingAlloc`] wraps the
-//! system allocator and — only while counting is switched on — tallies
-//! every allocation's count and bytes, tracks the live-bytes high-water
-//! mark, and lets [`crate::span()`]s attribute the traffic of their window
-//! to the phase tree (`alloc_count` / `alloc_bytes` / `alloc_peak` on
+//! should allocate like the dirty tiles they touch, not like the field;
+//! this module makes that property *measurable* instead of aspirational.
+//! [`CountingAlloc`] wraps the system allocator and — only while
+//! counting is switched on — tallies every allocation's count and bytes,
+//! tracks the live-bytes high-water mark, and lets [`crate::span()`]s
+//! attribute the traffic of their window to the phase tree (`alloc_count` / `alloc_bytes` / `alloc_peak` on
 //! [`crate::SpanRecord`]).
 //!
 //! # Gating and overhead

@@ -57,8 +57,6 @@
 //! tasks still execute), and the panic is re-raised on the calling thread
 //! once all borrowed data is provably no longer referenced by any worker.
 
-pub mod scratch;
-
 use std::cell::Cell;
 use std::ops::Range;
 use std::panic::{catch_unwind, AssertUnwindSafe};

@@ -444,7 +444,7 @@ impl FieldSession {
                 // The dirty-tile path wants *newly* dead ids (a repeated
                 // death must not dirty its tile again) and appended
                 // positions; the retained HierPlan does the rest.
-                let mut newly_dead: Vec<u32> = mdg_par::scratch::take_cap(died.len());
+                let mut newly_dead: Vec<u32> = Vec::with_capacity(died.len());
                 for &s in died {
                     if alive[s as usize] {
                         alive[s as usize] = false;
@@ -454,9 +454,8 @@ impl FieldSession {
                 sensors.extend_from_slice(added);
                 alive.resize(sensors.len(), true);
 
-                let report = hier.apply_delta(sensors, alive, &newly_dead, new_range);
-                mdg_par::scratch::put(newly_dead);
-                let report = report
+                let report = hier
+                    .apply_delta(sensors, alive, &newly_dead, new_range)
                     .map_err(|e| DeltaError::Corrupt(format!("dirty-tile replan failed: {e}")))?;
 
                 hier.plan()

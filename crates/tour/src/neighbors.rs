@@ -126,15 +126,11 @@ impl<'p> NeighborLists<'p> {
 }
 
 /// Builds the initial work queue and queued-bit vector from `seeds`
-/// (`None` = every city, in tour order), drawing both buffers from the
-/// thread's scratch pool — the passes run once per tile per delta in the
-/// hierarchical planner, so their working set is worth reusing. Callers
-/// return both via [`release_queue`] when the pass ends.
+/// (`None` = every city, in tour order).
 fn seed_queue(order: &[usize], seeds: Option<&[usize]>) -> (VecDeque<u32>, Vec<bool>) {
     let n = order.len();
-    let mut queue = mdg_par::scratch::take_deque_u32();
-    let mut queued: Vec<bool> = mdg_par::scratch::take_cap(n);
-    queued.resize(n, false);
+    let mut queue = VecDeque::new();
+    let mut queued = vec![false; n];
     match seeds {
         None => {
             for &c in order {
@@ -154,17 +150,9 @@ fn seed_queue(order: &[usize], seeds: Option<&[usize]>) -> (VecDeque<u32>, Vec<b
     (queue, queued)
 }
 
-/// Returns the buffers from [`seed_queue`] to the thread's scratch pool.
-fn release_queue(queue: VecDeque<u32>, queued: Vec<bool>) {
-    mdg_par::scratch::put_deque_u32(queue);
-    mdg_par::scratch::put(queued);
-}
-
-/// Takes a position vector (`pos[city] = index in order`) from the
-/// thread's scratch pool, sized and filled for `order`.
-fn take_pos(order: &[usize]) -> Vec<u32> {
-    let mut pos: Vec<u32> = mdg_par::scratch::take_cap(order.len());
-    pos.resize(order.len(), 0);
+/// The position table of `order`: `pos[city] = index in order`.
+fn positions(order: &[usize]) -> Vec<u32> {
+    let mut pos = vec![0; order.len()];
     for (p, &c) in order.iter().enumerate() {
         pos[c] = p as u32;
     }
@@ -275,7 +263,6 @@ fn two_opt_neighbors_pass(
             }
         }
     }
-    release_queue(queue, queued);
     mdg_obs::counter("improve/two_opt_moves").add(moves);
     total_gain
 }
@@ -342,8 +329,7 @@ fn or_opt_neighbors_pass(
                 let (ins_cost, reversed) = if fw <= rv { (fw, false) } else { (rv, true) };
                 let gain = removal_gain - ins_cost;
                 if gain > min_gain {
-                    let mut seg: Vec<usize> = mdg_par::scratch::take();
-                    seg.extend(order.drain(start..start + seg_len));
+                    let mut seg: Vec<usize> = order.drain(start..start + seg_len).collect();
                     if reversed {
                         seg.reverse();
                     }
@@ -354,7 +340,6 @@ fn or_opt_neighbors_pass(
                     for (k, &c) in seg.iter().enumerate() {
                         order.insert(anchor + 1 + k, c);
                     }
-                    mdg_par::scratch::put(seg);
                     for (p, &c) in order.iter().enumerate() {
                         pos[c] = p as u32;
                     }
@@ -376,7 +361,6 @@ fn or_opt_neighbors_pass(
             }
         }
     }
-    release_queue(queue, queued);
     mdg_obs::counter("improve/or_opt_moves").add(moves);
     total_gain
 }
@@ -391,9 +375,8 @@ pub fn two_opt_neighbors(
     min_gain: f64,
 ) -> Tour {
     let mut order = tour.into_order();
-    let mut pos = take_pos(&order);
+    let mut pos = positions(&order);
     two_opt_neighbors_pass(points, nl, &mut order, &mut pos, min_gain, None);
-    mdg_par::scratch::put(pos);
     Tour::from_order_unchecked(order).normalized()
 }
 
@@ -415,9 +398,8 @@ pub fn two_opt_neighbors_seeded(
     seeds: &[usize],
 ) -> Tour {
     let mut order = tour.into_order();
-    let mut pos = take_pos(&order);
+    let mut pos = positions(&order);
     two_opt_neighbors_pass(points, nl, &mut order, &mut pos, min_gain, Some(seeds));
-    mdg_par::scratch::put(pos);
     Tour::from_order_unchecked(order).normalized()
 }
 
@@ -440,7 +422,7 @@ pub fn or_opt_neighbors_seeded(
     seeds: &[usize],
 ) -> Tour {
     let mut order = tour.into_order();
-    let mut pos = take_pos(&order);
+    let mut pos = positions(&order);
     or_opt_neighbors_pass(
         points,
         nl,
@@ -450,7 +432,6 @@ pub fn or_opt_neighbors_seeded(
         min_gain,
         Some(seeds),
     );
-    mdg_par::scratch::put(pos);
     Tour::from_order_unchecked(order).normalized()
 }
 
@@ -484,7 +465,7 @@ pub fn improve_neighbors(
     let n = order.len();
     let mut sp = mdg_obs::span("improve");
     sp.add_items(n as u64);
-    let mut pos = take_pos(&order);
+    let mut pos = positions(&order);
     for _ in 0..cfg.max_passes {
         let g1 = two_opt_neighbors_pass(points, nl, &mut order, &mut pos, cfg.min_gain, None);
         let g2 = or_opt_neighbors_pass(
@@ -500,7 +481,6 @@ pub fn improve_neighbors(
             break;
         }
     }
-    mdg_par::scratch::put(pos);
     Tour::from_order_unchecked(order).normalized()
 }
 

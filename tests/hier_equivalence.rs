@@ -13,9 +13,10 @@
 //! Thread counts are driven through `mdg_par::set_threads`, which is
 //! process-global — every test that touches it serializes on [`lock`].
 //!
-//! The scratch-arena variant of this invariant — hier fields re-planned
-//! under pool poisoning, arenas on vs off — lives in
-//! `tests/scratch_poison.rs`.
+//! Tiles planned on `mdg-par` workers build their working buffers afresh
+//! and free them when the tile is done (`tests/retained_bytes.rs` holds a
+//! dropped hier plan to the live bytes of before it), so a worker carries
+//! nothing from one tile, plan or thread count to the next.
 
 use mobile_collectors::core::{
     CoveringStrategy, GatheringPlan, HierConfig, HierPlanner, PlanMetrics, PlannerConfig,

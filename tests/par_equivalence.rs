@@ -24,9 +24,10 @@
 //! (kept here as the oracle). Row order matters: BFS parents, and with
 //! them both multi-hop baselines, break ties by neighbour order.
 //!
-//! The scratch-arena variant of this invariant — the same field set
-//! re-planned under pool poisoning, arenas on vs off — lives in
-//! `tests/scratch_poison.rs`.
+//! A plan builds its working buffers afresh and frees them when it
+//! returns (`tests/retained_bytes.rs` holds a dropped plan to the live
+//! bytes of before it), so the plans run back to back here share no
+//! state: none can read what an earlier plan or thread count left behind.
 
 use mobile_collectors::core::{CoveringStrategy, GatheringPlan, PlannerConfig, ShdgPlanner};
 use mobile_collectors::geom::{Aabb, Point, SpatialGrid};
