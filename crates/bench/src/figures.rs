@@ -18,8 +18,8 @@ use mdg_geom::hull_perimeter;
 use mdg_net::{DeploymentConfig, Network, SinkPlacement, Topology};
 use mdg_sim::{scenario_from_plan, simulate_lifetime, MobileGatheringSim, MultihopRoutingSim};
 use mdg_tour::{
-    cheapest_insertion, christofides_like, held_karp_lower_bound, improve, mst_2approx,
-    nearest_neighbor, three_opt, two_opt, ImproveConfig, MatrixCost,
+    christofides_like, held_karp_lower_bound, mst_2approx, nearest_neighbor, plan_tour, three_opt,
+    two_opt, MatrixCost,
 };
 
 fn uniform_net(n: usize, side: f64, range: f64, seed: u64) -> Network {
@@ -734,8 +734,7 @@ pub fn a2(p: &Params) -> Table {
             let nn_len = nn.length(&cost);
             let nn2 = two_opt(&cost, nn.clone()).length(&cost);
             let nn3 = three_opt(&cost, nn).length(&cost);
-            let ci =
-                improve(&cost, cheapest_insertion(&cost), &ImproveConfig::default()).length(&cost);
+            let ci = plan_tour(&cost).length(&cost);
             let mst = mst_2approx(&cost).length(&cost);
             let ch = christofides_like(&cost).length(&cost);
             let lb = held_karp_lower_bound(&cost, 50);

@@ -5,7 +5,9 @@
 //! `plan` followed by a sustained stream of `delta` requests (a trickle of
 //! deaths each round, a sensor added every few rounds), and each point
 //! reports the cold-plan latency against the warm-delta latency
-//! distribution (p50/p99), the speedup, and the sustained request rate.
+//! distribution (p50 and slowest), the speedup, and the sustained request
+//! rate. A point takes 10 or 40 deltas, too few for a tail percentile, so
+//! the table reports the slowest delta as `delta_max_ms`.
 //!
 //! Latencies are the *server-side* `elapsed_ms` figures, so the numbers
 //! isolate planning/repair cost from socket round-trips; `req_per_s` is
@@ -48,8 +50,9 @@ fn rounds(p: &Params) -> usize {
     }
 }
 
-/// Percentile of a latency sample (nearest-rank).
-fn percentile(sorted: &[f64], q: f64) -> f64 {
+/// Percentile of a sorted latency sample (nearest-rank); `q = 1` is the
+/// largest sample.
+pub(crate) fn percentile(sorted: &[f64], q: f64) -> f64 {
     if sorted.is_empty() {
         return f64::NAN;
     }
@@ -67,7 +70,7 @@ pub fn serve(p: &Params) -> Table {
             "rounds",
             "cold_ms",
             "delta_p50_ms",
-            "delta_p99_ms",
+            "delta_max_ms",
             "speedup_p50",
             "req_per_s",
             "full_replans",
@@ -85,7 +88,7 @@ pub fn serve(p: &Params) -> Table {
         let r = rounds(p);
         // Churn: each round kills a deterministic 0.1% scatter of the id
         // space (re-kills are harmless), and every 4th round also adds a
-        // sensor — exercising the rebuild path so p99 reflects it.
+        // sensor — exercising the rebuild path so the max reflects it.
         let deaths_per_round = (n / 1000).max(2);
         let mut latencies = Vec::with_capacity(r);
         let mut add_max = 0.0_f64;
@@ -117,7 +120,7 @@ pub fn serve(p: &Params) -> Table {
         let churn_secs = t_churn.elapsed().as_secs_f64();
         latencies.sort_by(|a, b| a.total_cmp(b));
         let p50 = percentile(&latencies, 0.50);
-        let p99 = percentile(&latencies, 0.99);
+        let max = percentile(&latencies, 1.0);
         let speedup = cold.elapsed_ms / p50.max(1e-9);
         let req_per_s = r as f64 / churn_secs.max(1e-9);
         assert!(
@@ -137,13 +140,13 @@ pub fn serve(p: &Params) -> Table {
             r as f64,
             cold.elapsed_ms,
             p50,
-            p99,
+            max,
             speedup,
             req_per_s,
             full_replans as f64,
         ]);
         println!(
-            "  serve: n = {n:>6}  cold {:>8.1} ms  delta p50 {p50:>7.2} ms  p99 {p99:>7.2} ms  \
+            "  serve: n = {n:>6}  cold {:>8.1} ms  delta p50 {p50:>7.2} ms  max {max:>7.2} ms  \
              adding max {add_max:>7.2} ms  speedup {speedup:>6.1}x  {req_per_s:>6.1} req/s",
             cold.elapsed_ms
         );
@@ -178,9 +181,9 @@ mod tests {
         let t = serve(&Params::smoke());
         assert_eq!(t.rows.len(), 1);
         let p50 = t.col("delta_p50_ms").unwrap();
-        let p99 = t.col("delta_p99_ms").unwrap();
+        let max = t.col("delta_max_ms").unwrap();
         for row in &t.rows {
-            assert!(row[p50] <= row[p99], "percentiles must be ordered");
+            assert!(row[p50] <= row[max], "the median cannot exceed the max");
         }
     }
 }

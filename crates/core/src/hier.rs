@@ -79,9 +79,6 @@ use mdg_tour::{
 /// repairs are local, so a short list suffices.
 const TOUCH_UP_NEIGHBORS: usize = 8;
 
-/// Longest segment the Or-opt half of the touch-up may relocate.
-const TOUCH_UP_MAX_SEGMENT: usize = 3;
-
 /// Sensors per tile that automatic tile sizing aims at: small enough that
 /// a tile plans in milliseconds, large enough that seams are rare.
 const TARGET_PER_TILE: usize = 2048;
@@ -571,17 +568,9 @@ impl HierPlan {
                     &cycle_pts,
                     Tour::identity(cycle_pts.len()),
                     &mut nl,
-                    1e-9,
                     &seeds,
                 );
-                let tour = or_opt_neighbors_seeded(
-                    &cycle_pts,
-                    tour,
-                    &mut nl,
-                    TOUCH_UP_MAX_SEGMENT,
-                    1e-9,
-                    &seeds,
-                );
+                let tour = or_opt_neighbors_seeded(&cycle_pts, tour, &mut nl, &seeds);
                 mdg_obs::counter("hier/knn_rows").add(nl.rows_computed() as u64);
                 let order = tour.order();
                 debug_assert_eq!(order[0], 0, "normalized tours lead with the depot");

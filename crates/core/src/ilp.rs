@@ -19,11 +19,10 @@
 //!    point consumes one, and flow only rides tour edges
 //!    (`f ≤ (m+1)·x`) — the classic Gavish–Graves linearization.
 //!
-//! [`check_plan_against_ilp`] plugs a [`GatheringPlan`] into the same
-//! constraint system and verifies feasibility — the tests use it to prove
-//! the exported model and the native solver agree.
+//! The tests plug plans into the same constraint system and verify
+//! feasibility, which proves the exported model and the native solver
+//! agree.
 
-use crate::plan::GatheringPlan;
 use mdg_cover::CoverageInstance;
 use mdg_geom::Point;
 use std::fmt::Write as _;
@@ -189,59 +188,60 @@ fn par(expr: String) -> String {
     expr.replace(" + ", " - ")
 }
 
-/// Verifies that a [`GatheringPlan`] is feasible for the exported ILP: its
-/// selection covers every sensor, its tour visits exactly the selected
-/// candidates, and the tour's edge set admits a valid subtour-free flow
-/// (trivially true for a single closed tour). Returns the plan's objective
-/// value (tour length) on success.
-pub fn check_plan_against_ilp(ilp: &IlpInstance, plan: &GatheringPlan) -> Result<f64, String> {
-    let m = ilp.instance.n_candidates();
-    // Selection from the plan.
-    let mut selected = vec![false; m];
-    for pp in &plan.polling_points {
-        if pp.candidate >= m {
-            return Err(format!(
-                "plan references unknown candidate {}",
-                pp.candidate
-            ));
-        }
-        if selected[pp.candidate] {
-            return Err(format!("candidate {} selected twice", pp.candidate));
-        }
-        selected[pp.candidate] = true;
-    }
-    // 1. Coverage constraints.
-    for t in 0..ilp.instance.n_targets() {
-        let covered = (0..m).any(|c| selected[c] && ilp.instance.candidates[c].covers.get(t));
-        if !covered {
-            return Err(format!("constraint cover_{t} violated"));
-        }
-    }
-    // 2+3. Tour structure: the plan is a single closed walk over the sink
-    //      and exactly the selected candidates, each visited once — which
-    //      satisfies the degree constraints and admits the canonical flow
-    //      (m_sel, m_sel − 1, …, 1 along the tour).
-    let visited: Vec<usize> = plan.polling_points.iter().map(|pp| pp.candidate).collect();
-    let mut sorted = visited.clone();
-    sorted.sort_unstable();
-    sorted.dedup();
-    if sorted.len() != visited.len() {
-        return Err("tour visits a polling point twice (degree constraint violated)".into());
-    }
-    let n_selected = selected.iter().filter(|&&s| s).count();
-    if visited.len() != n_selected {
-        return Err("tour does not visit every selected candidate".into());
-    }
-    // Objective value.
-    Ok(plan.tour_length)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::exact::exact_plan;
+    use crate::plan::GatheringPlan;
     use crate::planner::ShdgPlanner;
     use mdg_net::{DeploymentConfig, Network};
+
+    /// Verifies that a [`GatheringPlan`] is feasible for the exported ILP: its
+    /// selection covers every sensor, its tour visits exactly the selected
+    /// candidates, and the tour's edge set admits a valid subtour-free flow
+    /// (trivially true for a single closed tour). Returns the plan's objective
+    /// value (tour length) on success.
+    fn check_plan_against_ilp(ilp: &IlpInstance, plan: &GatheringPlan) -> Result<f64, String> {
+        let m = ilp.instance.n_candidates();
+        // Selection from the plan.
+        let mut selected = vec![false; m];
+        for pp in &plan.polling_points {
+            if pp.candidate >= m {
+                return Err(format!(
+                    "plan references unknown candidate {}",
+                    pp.candidate
+                ));
+            }
+            if selected[pp.candidate] {
+                return Err(format!("candidate {} selected twice", pp.candidate));
+            }
+            selected[pp.candidate] = true;
+        }
+        // 1. Coverage constraints.
+        for t in 0..ilp.instance.n_targets() {
+            let covered = (0..m).any(|c| selected[c] && ilp.instance.candidates[c].covers.get(t));
+            if !covered {
+                return Err(format!("constraint cover_{t} violated"));
+            }
+        }
+        // 2+3. Tour structure: the plan is a single closed walk over the sink
+        //      and exactly the selected candidates, each visited once — which
+        //      satisfies the degree constraints and admits the canonical flow
+        //      (m_sel, m_sel − 1, …, 1 along the tour).
+        let visited: Vec<usize> = plan.polling_points.iter().map(|pp| pp.candidate).collect();
+        let mut sorted = visited.clone();
+        sorted.sort_unstable();
+        sorted.dedup();
+        if sorted.len() != visited.len() {
+            return Err("tour visits a polling point twice (degree constraint violated)".into());
+        }
+        let n_selected = selected.iter().filter(|&&s| s).count();
+        if visited.len() != n_selected {
+            return Err("tour does not visit every selected candidate".into());
+        }
+        // Objective value.
+        Ok(plan.tour_length)
+    }
 
     fn ilp(n: usize, seed: u64) -> (IlpInstance, Network) {
         let net = Network::build(DeploymentConfig::uniform(n, 70.0).generate(seed), 25.0);

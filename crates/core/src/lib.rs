@@ -48,7 +48,7 @@ pub mod metrics;
 pub mod mutate;
 pub mod plan;
 pub mod planner;
-pub mod tour_aware;
+mod tour_aware;
 
 pub use error::PlanError;
 pub use exact::exact_plan;
@@ -56,9 +56,8 @@ pub use fleet::{
     plan_fleet, plan_fleet_angular, plan_fleet_for_deadline, CollectorTour, FleetPlan,
 };
 pub use hier::{HierConfig, HierDeltaReport, HierPlan, HierPlanner, HierStats};
-pub use ilp::{check_plan_against_ilp, IlpInstance};
+pub use ilp::IlpInstance;
 pub use metrics::PlanMetrics;
 pub use mutate::UNASSIGNED;
 pub use plan::{GatheringPlan, PollingPoint};
 pub use planner::{CandidateMode, CoveringStrategy, PlannerConfig, ShdgPlanner};
-pub use tour_aware::{tour_aware_cover, TourAwareConfig, TourAwareCover};

@@ -157,7 +157,7 @@ impl GatheringPlan {
     }
 
     /// Recomputes `tour_length` from the current polling-point order.
-    pub fn refresh_tour_length(&mut self) {
+    fn refresh_tour_length(&mut self) {
         self.tour_length = mdg_geom::closed_tour_length(&self.tour_positions());
     }
 

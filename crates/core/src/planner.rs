@@ -2,13 +2,12 @@
 
 use crate::error::PlanError;
 use crate::plan::{GatheringPlan, PollingPoint};
-use crate::tour_aware::{tour_aware_cover, TourAwareConfig};
+use crate::tour_aware::tour_aware_cover;
 use mdg_cover::{capacitated_greedy_cover, greedy_cover, prune_cover, CoverageInstance};
 use mdg_geom::Point;
 use mdg_net::Network;
 use mdg_tour::{
-    cheapest_insertion, improve, improve_neighbors, EuclideanCost, ImproveConfig, MatrixCost,
-    NeighborLists, Tour,
+    cheapest_insertion, improve, improve_neighbors, EuclideanCost, MatrixCost, NeighborLists, Tour,
 };
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
@@ -35,11 +34,8 @@ pub enum CoveringStrategy {
     /// Classic greedy max-coverage, ties broken toward the sink.
     Greedy,
     /// Tour-aware greedy: maximize coverage per meter of tour insertion
-    /// cost (the planner default; see [`crate::tour_aware`]).
-    TourAware {
-        /// Weight of the insertion cost (0 = plain greedy).
-        insertion_weight: f64,
-    },
+    /// cost (the planner default).
+    TourAware,
 }
 
 /// Planner configuration.
@@ -67,9 +63,7 @@ impl Default for PlannerConfig {
     fn default() -> Self {
         PlannerConfig {
             candidates: CandidateMode::SensorSites,
-            covering: CoveringStrategy::TourAware {
-                insertion_weight: 1.0,
-            },
+            covering: CoveringStrategy::TourAware,
             prune: true,
             improve_passes: 64,
             max_sensors_per_pp: None,
@@ -221,13 +215,8 @@ pub(crate) fn plan_stops(
             (None, CoveringStrategy::Greedy) => {
                 (greedy_cover(inst, near_anchor).expect(FEASIBLE), None)
             }
-            (None, CoveringStrategy::TourAware { insertion_weight }) => {
-                let ta = TourAwareConfig {
-                    insertion_weight,
-                    ..TourAwareConfig::default()
-                };
-                let cover = tour_aware_cover(inst, anchor, &ta).expect(FEASIBLE);
-                (cover.selected, None)
+            (None, CoveringStrategy::TourAware) => {
+                (tour_aware_cover(inst, anchor).expect(FEASIBLE), None)
             }
         }
     };
@@ -291,17 +280,13 @@ fn tour_stops(
     let mut pts: Vec<Point> = Vec::with_capacity(selected.len() + first);
     pts.extend(depot);
     pts.extend(selected.iter().map(|&c| inst.candidates[c].pos));
-    let polish = ImproveConfig {
-        max_passes: improve_passes,
-        ..ImproveConfig::default()
-    };
     let tour = if pts.len() <= 2 {
         Tour::identity(pts.len())
     } else if pts.len() <= DENSE_TOUR_LIMIT {
         let cost = MatrixCost::from_points(&pts);
         let tour = cheapest_insertion(&cost);
         if improve_passes > 0 {
-            improve(&cost, tour, &polish)
+            improve(&cost, tour, improve_passes)
         } else {
             tour.normalized()
         }
@@ -309,7 +294,7 @@ fn tour_stops(
         let tour = cheapest_insertion(&EuclideanCost::new(&pts));
         if improve_passes > 0 {
             let mut nl = NeighborLists::build(&pts, 10);
-            improve_neighbors(&pts, tour, &polish, &mut nl)
+            improve_neighbors(&pts, tour, improve_passes, &mut nl)
         } else {
             tour.normalized()
         }
@@ -355,15 +340,7 @@ mod tests {
     #[test]
     fn all_strategies_produce_valid_plans() {
         let net = net(100, 150.0, 25.0, 3);
-        for covering in [
-            CoveringStrategy::Greedy,
-            CoveringStrategy::TourAware {
-                insertion_weight: 1.0,
-            },
-            CoveringStrategy::TourAware {
-                insertion_weight: 0.0,
-            },
-        ] {
+        for covering in [CoveringStrategy::Greedy, CoveringStrategy::TourAware] {
             for prune in [false, true] {
                 let cfg = PlannerConfig {
                     covering,

@@ -11,42 +11,15 @@
 //! ```
 //!
 //! so a candidate that covers slightly fewer sensors but sits right next to
-//! the evolving tour wins over a remote one. With `insertion_weight = 0`
-//! the rule degrades to plain greedy (used as the A1 ablation).
+//! the evolving tour wins over a remote one. The A1 ablation compares it
+//! with plain greedy covering (`CoveringStrategy::Greedy`).
 
 use mdg_cover::{BitSet, CoverageInstance};
 use mdg_geom::Point;
 
-/// Parameters of the tour-aware covering rule.
-#[derive(Debug, Clone, Copy)]
-pub struct TourAwareConfig {
-    /// Weight of the insertion cost in the denominator. `1.0` is the
-    /// default; `0.0` disables tour-awareness entirely.
-    pub insertion_weight: f64,
-    /// Stabilizer added to the denominator (meters) so that zero-cost
-    /// insertions do not dominate on gain-1 candidates.
-    pub epsilon: f64,
-}
-
-impl Default for TourAwareConfig {
-    fn default() -> Self {
-        TourAwareConfig {
-            insertion_weight: 1.0,
-            epsilon: 1.0,
-        }
-    }
-}
-
-/// Output of tour-aware covering: the chosen candidates and the greedy
-/// insertion order tour (positions include the sink at index 0).
-#[derive(Debug, Clone)]
-pub struct TourAwareCover {
-    /// Selected candidate indices, in selection order.
-    pub selected: Vec<usize>,
-    /// Partial tour produced by the insertions: candidate indices in tour
-    /// order (excluding the sink).
-    pub tour_candidates: Vec<usize>,
-}
+/// The rule's ε: meters added to the insertion cost in the denominator so
+/// that zero-cost insertions do not dominate on gain-1 candidates.
+const EPSILON: f64 = 1.0;
 
 /// Cheapest-insertion delta of `p` into the closed tour `tour` (which
 /// includes the sink). For a single-vertex "tour" this is the out-and-back
@@ -167,8 +140,8 @@ fn rescan(p: Point, pts: &[Point], edge_len: &[f64], nodes: &[usize]) -> InsEntr
     best
 }
 
-/// Runs tour-aware greedy covering. Returns `None` if the instance is
-/// infeasible.
+/// Runs tour-aware greedy covering: the selected candidates in selection
+/// order, or `None` if the instance is infeasible.
 ///
 /// Incremental implementation of the same selection rule as the original
 /// full-rescan version, which this module's tests keep as the executable
@@ -195,17 +168,12 @@ fn rescan(p: Point, pts: &[Point], edge_len: &[f64], nodes: &[usize]) -> InsEntr
 ///   rescan takes one square root per tour vertex and a probe three.
 ///
 /// Every cache delta reproduces the reference's arithmetic bit-for-bit
-/// (see `rescan`), so the selections — and the greedy insertion tour —
-/// come out identical. The only divergence window is a candidate whose
+/// (see `rescan`), so the selections come out identical. The only divergence window is a candidate whose
 /// cheapest insertion delta is *exactly* tied (to the last bit) across
 /// distinct tour edges, where the reference keeps the earliest tour
 /// position and the cache may keep the edge it found first;
 /// non-degenerate geometry never produces such ties.
-pub fn tour_aware_cover(
-    inst: &CoverageInstance,
-    sink: Point,
-    cfg: &TourAwareConfig,
-) -> Option<TourAwareCover> {
+pub(crate) fn tour_aware_cover(inst: &CoverageInstance, sink: Point) -> Option<Vec<usize>> {
     let n = inst.n_targets();
     let n_cands = inst.n_candidates();
     let mut sp = mdg_obs::span("tour_aware");
@@ -219,7 +187,7 @@ pub fn tour_aware_cover(
     let mut selected = Vec::new();
     let mut tour_pts: Vec<Point> = vec![sink];
     // Tour node ids parallel to `tour_pts`: `SINK`, then candidate ids in
-    // tour order, which become the result's `tour_candidates`.
+    // tour order.
     let mut tour_nodes: Vec<usize> = vec![SINK];
     // `edge_len[i]` = |tour_pts[i] tour_pts[i + 1]|, closing at the sink.
     let mut edge_len: Vec<f64> = vec![0.0];
@@ -280,7 +248,7 @@ pub fn tour_aware_cover(
                     } else {
                         e.ins.delta
                     };
-                    let denom = cfg.epsilon + cfg.insertion_weight * ins;
+                    let denom = EPSILON + ins;
                     let score = g as f64 / denom.max(f64::MIN_POSITIVE);
                     let contender = BestCand {
                         slot,
@@ -407,11 +375,7 @@ pub fn tour_aware_cover(
             });
         }
     }
-    tour_nodes.remove(0);
-    Some(TourAwareCover {
-        selected,
-        tour_candidates: tour_nodes,
-    })
+    Some(selected)
 }
 
 /// The original full-rescan tour-aware covering: every step recounts every
@@ -419,16 +383,11 @@ pub fn tour_aware_cover(
 /// (`O(steps · candidates · (targets/64 + tour))`). Kept as the executable
 /// specification for [`tour_aware_cover`] and the equivalence suite.
 #[cfg(test)]
-fn tour_aware_cover_reference(
-    inst: &CoverageInstance,
-    sink: Point,
-    cfg: &TourAwareConfig,
-) -> Option<TourAwareCover> {
+fn tour_aware_cover_reference(inst: &CoverageInstance, sink: Point) -> Option<Vec<usize>> {
     let n = inst.n_targets();
     let mut covered = BitSet::new(n);
     let mut selected = Vec::new();
     let mut tour_pts: Vec<Point> = vec![sink];
-    let mut tour_cands: Vec<usize> = Vec::new(); // parallel to tour_pts[1..]
     let mut remaining = n;
 
     while remaining > 0 {
@@ -442,7 +401,7 @@ fn tour_aware_cover_reference(
                 continue;
             }
             let (pos, ins) = insertion_cost(&tour_pts, cand.pos);
-            let denom = cfg.epsilon + cfg.insertion_weight * ins;
+            let denom = EPSILON + ins;
             let score = gain as f64 / denom.max(f64::MIN_POSITIVE);
             let better = score > best_score
                 || (score == best_score && gain > best_gain)
@@ -460,13 +419,9 @@ fn tour_aware_cover_reference(
         covered.union_with(&inst.candidates[best_cand].covers);
         selected.push(best_cand);
         tour_pts.insert(best_ins.0, inst.candidates[best_cand].pos);
-        tour_cands.insert(best_ins.0 - 1, best_cand);
         remaining = n - covered.count();
     }
-    Some(TourAwareCover {
-        selected,
-        tour_candidates: tour_cands,
-    })
+    Some(selected)
 }
 
 #[cfg(test)]
@@ -482,15 +437,8 @@ mod tests {
     fn produces_a_cover() {
         let sensors = line(&[0.0, 10.0, 20.0, 60.0, 70.0]);
         let inst = CoverageInstance::sensor_sites(&sensors, 12.0);
-        let out =
-            tour_aware_cover(&inst, Point::new(35.0, 0.0), &TourAwareConfig::default()).unwrap();
-        assert!(inst.is_cover(&out.selected));
-        // tour_candidates is a permutation of selected.
-        let mut a = out.selected.clone();
-        let mut b = out.tour_candidates.clone();
-        a.sort_unstable();
-        b.sort_unstable();
-        assert_eq!(a, b);
+        let selected = tour_aware_cover(&inst, Point::new(35.0, 0.0)).unwrap();
+        assert!(inst.is_cover(&selected));
     }
 
     #[test]
@@ -519,45 +467,27 @@ mod tests {
         ];
         let inst = CoverageInstance::sensor_sites(&sensors, 40.0);
         let sink = Point::ORIGIN;
-        let aware = tour_aware_cover(&inst, sink, &TourAwareConfig::default()).unwrap();
-        let blind = tour_aware_cover(
-            &inst,
-            sink,
-            &TourAwareConfig {
-                insertion_weight: 0.0,
-                epsilon: 1.0,
-            },
-        )
-        .unwrap();
+        let aware = tour_aware_cover(&inst, sink).unwrap();
+        // The blind side: greedy covering with ties broken toward the sink,
+        // as the planner's `Greedy` strategy runs it.
+        let blind =
+            mdg_cover::greedy_cover(&inst, |c| inst.candidates[c].pos.dist_sq(sink)).unwrap();
         // Both must cover; the aware tour must be no longer than the blind
-        // one on this construction.
-        assert!(inst.is_cover(&aware.selected));
-        assert!(inst.is_cover(&blind.selected));
-        let tour_len = |cands: &[usize]| {
-            let mut pts = vec![sink];
-            pts.extend(cands.iter().map(|&c| inst.candidates[c].pos));
-            closed_tour_length(&pts)
+        // one on this construction. Each side is toured by cheapest
+        // insertion in selection order, as the tour-aware rule builds its
+        // tour.
+        assert!(inst.is_cover(&aware));
+        assert!(inst.is_cover(&blind));
+        let tour_len = |selected: &[usize]| {
+            let mut tour = vec![sink];
+            for &c in selected {
+                let p = inst.candidates[c].pos;
+                let (at, _) = insertion_cost(&tour, p);
+                tour.insert(at, p);
+            }
+            closed_tour_length(&tour)
         };
-        assert!(tour_len(&aware.tour_candidates) <= tour_len(&blind.tour_candidates) + 1e-9);
-    }
-
-    #[test]
-    fn zero_weight_reduces_to_plain_greedy_count() {
-        let sensors = line(&[0.0, 8.0, 16.0, 24.0, 32.0, 80.0, 88.0]);
-        let inst = CoverageInstance::sensor_sites(&sensors, 9.0);
-        let blind = tour_aware_cover(
-            &inst,
-            Point::new(44.0, 0.0),
-            &TourAwareConfig {
-                insertion_weight: 0.0,
-                epsilon: 1.0,
-            },
-        )
-        .unwrap();
-        let greedy = mdg_cover::greedy_cover(&inst, |_| 0.0).unwrap();
-        // Same number of polling points (selection order may differ only
-        // on ties).
-        assert_eq!(blind.selected.len(), greedy.len());
+        assert!(tour_len(&aware) <= tour_len(&blind) + 1e-9);
     }
 
     #[test]
@@ -572,22 +502,9 @@ mod tests {
                 .collect();
             let inst = CoverageInstance::sensor_sites(&sensors, rng.gen_range(15.0..40.0));
             let sink = Point::new(rng.gen_range(0.0..side), rng.gen_range(0.0..side));
-            for cfg in [
-                TourAwareConfig::default(),
-                TourAwareConfig {
-                    insertion_weight: 0.3,
-                    epsilon: 0.5,
-                },
-                TourAwareConfig {
-                    insertion_weight: 0.0,
-                    epsilon: 1.0,
-                },
-            ] {
-                let fast = tour_aware_cover(&inst, sink, &cfg).unwrap();
-                let slow = tour_aware_cover_reference(&inst, sink, &cfg).unwrap();
-                assert_eq!(fast.selected, slow.selected, "seed {seed}");
-                assert_eq!(fast.tour_candidates, slow.tour_candidates, "seed {seed}");
-            }
+            let fast = tour_aware_cover(&inst, sink).unwrap();
+            let slow = tour_aware_cover_reference(&inst, sink).unwrap();
+            assert_eq!(fast, slow, "seed {seed}");
         }
     }
 
@@ -596,14 +513,12 @@ mod tests {
         let sensors = vec![Point::new(33.0, 33.0)];
         let inst =
             CoverageInstance::grid_candidates(&sensors, &mdg_geom::Aabb::square(100.0), 50.0, 5.0);
-        assert!(tour_aware_cover(&inst, Point::ORIGIN, &TourAwareConfig::default()).is_none());
+        assert!(tour_aware_cover(&inst, Point::ORIGIN).is_none());
     }
 
     #[test]
     fn empty_instance_yields_empty_cover() {
         let inst = CoverageInstance::sensor_sites(&[], 10.0);
-        let out = tour_aware_cover(&inst, Point::ORIGIN, &TourAwareConfig::default()).unwrap();
-        assert!(out.selected.is_empty());
-        assert!(out.tour_candidates.is_empty());
+        assert!(tour_aware_cover(&inst, Point::ORIGIN).unwrap().is_empty());
     }
 }

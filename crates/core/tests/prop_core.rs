@@ -44,7 +44,7 @@ proptest! {
 
     #[test]
     fn greedy_and_tour_aware_both_cover(net in arb_net()) {
-        for covering in [CoveringStrategy::Greedy, CoveringStrategy::TourAware { insertion_weight: 1.0 }] {
+        for covering in [CoveringStrategy::Greedy, CoveringStrategy::TourAware] {
             let cfg = PlannerConfig { covering, ..PlannerConfig::default() };
             let plan = ShdgPlanner::with_config(cfg).plan(&net).unwrap();
             prop_assert!(plan.validate(&net.deployment.sensors, net.range).is_ok());

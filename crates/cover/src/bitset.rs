@@ -81,14 +81,6 @@ impl BitSet {
         }
     }
 
-    /// `self &= !other` (set difference).
-    pub fn subtract(&mut self, other: &BitSet) {
-        assert_eq!(self.len, other.len, "bitset length mismatch");
-        for (a, b) in self.blocks.iter_mut().zip(&other.blocks) {
-            *a &= !b;
-        }
-    }
-
     /// Number of bits set in `self & !other` — how many of `self`'s bits
     /// are *not* already in `other`. The greedy-cover marginal gain.
     pub fn count_and_not(&self, other: &BitSet) -> usize {
@@ -156,14 +148,11 @@ mod tests {
     }
 
     #[test]
-    fn union_and_subtract() {
-        let a0 = BitSet::from_indices(100, &[1, 50, 99]);
+    fn union_with_sets_both() {
+        let mut a = BitSet::from_indices(100, &[1, 50, 99]);
         let b = BitSet::from_indices(100, &[50, 51]);
-        let mut a = a0.clone();
         a.union_with(&b);
         assert_eq!(a.iter_ones().collect::<Vec<_>>(), vec![1, 50, 51, 99]);
-        a.subtract(&b);
-        assert_eq!(a.iter_ones().collect::<Vec<_>>(), vec![1, 99]);
     }
 
     #[test]

@@ -19,22 +19,6 @@ pub struct CapacitatedCover {
     pub assignment: Vec<usize>,
 }
 
-impl CapacitatedCover {
-    /// Number of targets assigned to each selected candidate.
-    pub fn loads(&self) -> Vec<usize> {
-        let mut loads = vec![0usize; self.selected.len()];
-        for &k in &self.assignment {
-            loads[k] += 1;
-        }
-        loads
-    }
-
-    /// The largest per-point load.
-    pub fn max_load(&self) -> usize {
-        self.loads().into_iter().max().unwrap_or(0)
-    }
-}
-
 /// Greedy capacitated covering: repeatedly select the candidate that can
 /// absorb the most still-unassigned targets (capped at `cap`), breaking
 /// ties by the smallest `tie_break` value, and assign it its `cap` nearest
@@ -115,31 +99,47 @@ where
     })
 }
 
-/// Verifies that `cover` is capacity-feasible for `inst`: every target
-/// assigned to a selected candidate that covers it, no candidate above
-/// `cap`.
-pub fn is_capacity_feasible(inst: &CoverageInstance, cover: &CapacitatedCover, cap: usize) -> bool {
-    if cover.assignment.len() != inst.n_targets() {
-        return false;
-    }
-    let mut loads = vec![0usize; cover.selected.len()];
-    for (t, &k) in cover.assignment.iter().enumerate() {
-        let Some(&c) = cover.selected.get(k) else {
-            return false;
-        };
-        if !inst.candidates[c].covers.get(t) {
-            return false;
-        }
-        loads[k] += 1;
-    }
-    loads.into_iter().all(|l| l <= cap)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use mdg_geom::Point;
     use rand::{Rng, SeedableRng};
+
+    impl CapacitatedCover {
+        /// Number of targets assigned to each selected candidate.
+        fn loads(&self) -> Vec<usize> {
+            let mut loads = vec![0usize; self.selected.len()];
+            for &k in &self.assignment {
+                loads[k] += 1;
+            }
+            loads
+        }
+
+        /// The largest per-point load.
+        fn max_load(&self) -> usize {
+            self.loads().into_iter().max().unwrap_or(0)
+        }
+    }
+
+    /// Verifies that `cover` is capacity-feasible for `inst`: every target
+    /// assigned to a selected candidate that covers it, no candidate above
+    /// `cap`.
+    fn is_capacity_feasible(inst: &CoverageInstance, cover: &CapacitatedCover, cap: usize) -> bool {
+        if cover.assignment.len() != inst.n_targets() {
+            return false;
+        }
+        let mut loads = vec![0usize; cover.selected.len()];
+        for (t, &k) in cover.assignment.iter().enumerate() {
+            let Some(&c) = cover.selected.get(k) else {
+                return false;
+            };
+            if !inst.candidates[c].covers.get(t) {
+                return false;
+            }
+            loads[k] += 1;
+        }
+        loads.into_iter().all(|l| l <= cap)
+    }
 
     fn line(xs: &[f64]) -> Vec<Point> {
         xs.iter().map(|&x| Point::new(x, 0.0)).collect()

@@ -1,30 +1,27 @@
-//! Exact minimum set cover by branch and bound.
+//! Exact minimum set cover by branch and bound: the optimum the tests hold
+//! greedy covering against.
 //!
-//! Used for the small-instance optimality-gap experiments in place of the
-//! paper's CPLEX runs. The search branches on the hardest uncovered target
-//! (fewest covering candidates), bounds with a greedy-packing lower bound,
-//! and prunes dominated candidates up front.
+//! The search branches on the hardest uncovered target (fewest covering
+//! candidates), bounds with a greedy-packing lower bound, and prunes
+//! dominated candidates up front.
 
 use crate::bitset::BitSet;
 use crate::instance::CoverageInstance;
 
 /// Node budget for the branch-and-bound search (safety valve for
-/// adversarial instances; all experiment instances finish far below it).
+/// adversarial instances; every test instance finishes far below it).
 const DEFAULT_NODE_BUDGET: u64 = 20_000_000;
 
 /// Finds a minimum-cardinality cover exactly. Returns `None` if the
 /// instance is infeasible, or if the node budget is exhausted before the
-/// search completes (never observed at experiment sizes; the budget is a
+/// search completes (never observed at test sizes; the budget is a
 /// protection against pathological inputs).
-pub fn exact_min_cover(inst: &CoverageInstance) -> Option<Vec<usize>> {
+fn exact_min_cover(inst: &CoverageInstance) -> Option<Vec<usize>> {
     exact_min_cover_with_budget(inst, DEFAULT_NODE_BUDGET)
 }
 
 /// [`exact_min_cover`] with an explicit node budget.
-pub fn exact_min_cover_with_budget(
-    inst: &CoverageInstance,
-    node_budget: u64,
-) -> Option<Vec<usize>> {
+fn exact_min_cover_with_budget(inst: &CoverageInstance, node_budget: u64) -> Option<Vec<usize>> {
     let n = inst.n_targets();
     if n == 0 {
         return Some(Vec::new());
@@ -161,7 +158,9 @@ pub fn exact_min_cover_with_budget(
 mod tests {
     use super::*;
     use crate::greedy::greedy_cover;
+    use crate::prune::prune_cover;
     use mdg_geom::Point;
+    use proptest::prelude::*;
     use rand::{Rng, SeedableRng};
 
     fn line(xs: &[f64]) -> Vec<Point> {
@@ -247,5 +246,26 @@ mod tests {
         // Budget of 1 node cannot complete (but greedy still seeds best —
         // we deliberately report None rather than an unproven answer).
         assert_eq!(exact_min_cover_with_budget(&inst, 1), None);
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        #[test]
+        fn exact_is_optimal_lower_bound((sensors, range) in crate::arb_sensors()) {
+            // Keep the exact search cheap: only run on smaller instances.
+            if sensors.len() > 22 { return Ok(()); }
+            let inst = CoverageInstance::sensor_sites(&sensors, range);
+            let greedy = greedy_cover(&inst, |_| 0.0).unwrap();
+            let pruned = prune_cover(&inst, &greedy, |_| 0.0);
+            if let Some(opt) = exact_min_cover(&inst) {
+                prop_assert!(inst.is_cover(&opt));
+                prop_assert!(opt.len() <= greedy.len());
+                prop_assert!(opt.len() <= pruned.len());
+                // Greedy's ln(n)+1 approximation guarantee.
+                let bound = (sensors.len() as f64).ln() + 1.0;
+                prop_assert!((greedy.len() as f64) <= bound * opt.len() as f64 + 1e-9);
+            }
+        }
     }
 }

@@ -14,19 +14,33 @@
 //! * [`greedy_cover`]: the classic greedy max-coverage heuristic with a
 //!   caller-supplied tie-breaker (the planner breaks ties toward the sink).
 //! * [`prune_cover`]: reverse-delete removal of redundant selections.
-//! * [`exact::exact_min_cover`]: branch-and-bound minimum set cover for the
-//!   optimality-gap experiments (substituting the paper's CPLEX runs).
+//! * [`capacitated_greedy_cover`]: greedy covering with a per-point load
+//!   limit.
 
 pub mod bitset;
 pub mod capacitated;
-pub mod exact;
+#[cfg(test)]
+mod exact;
 pub mod greedy;
 pub mod instance;
 pub mod prune;
 
 pub use bitset::BitSet;
 pub use capacitated::{capacitated_greedy_cover, CapacitatedCover};
-pub use exact::exact_min_cover;
 pub use greedy::{greedy_cover, greedy_cover_restricted};
 pub use instance::{Candidate, CoverageInstance};
 pub use prune::prune_cover;
+
+/// Random sensor fields and ranges for the property tests of the
+/// test-only oracles.
+#[cfg(test)]
+fn arb_sensors() -> impl proptest::Strategy<Value = (Vec<mdg_geom::Point>, f64)> {
+    use proptest::prelude::*;
+    (
+        proptest::collection::vec(
+            (0.0..150.0f64, 0.0..150.0f64).prop_map(|(x, y)| mdg_geom::Point::new(x, y)),
+            1..40,
+        ),
+        15.0..60.0f64,
+    )
+}

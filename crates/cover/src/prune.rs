@@ -1,6 +1,5 @@
 //! Reverse-delete pruning of redundant polling points.
 
-use crate::bitset::BitSet;
 use crate::instance::CoverageInstance;
 
 /// Removes redundant candidates from a cover: a selected candidate is
@@ -53,44 +52,36 @@ where
     keep
 }
 
-/// Returns `true` if `selected` is a *minimal* cover: removing any single
-/// member breaks coverage. (Vacuously true for an empty selection over
-/// zero targets.)
-pub fn is_minimal_cover(inst: &CoverageInstance, selected: &[usize]) -> bool {
-    if !inst.is_cover(selected) {
-        return false;
-    }
-    let n = inst.n_targets();
-    let mut cover_count = vec![0u32; n];
-    for &s in selected {
-        for t in inst.candidates[s].covers.iter_ones() {
-            cover_count[t] += 1;
-        }
-    }
-    // Minimal iff every member uniquely covers some target (a member
-    // covering nothing therefore also fails this test).
-    selected.iter().all(|&s| {
-        inst.candidates[s]
-            .covers
-            .iter_ones()
-            .any(|t| cover_count[t] == 1)
-    })
-}
-
-/// Union coverage of a selection (utility shared by tests and the planner).
-pub fn union_coverage(inst: &CoverageInstance, selected: &[usize]) -> BitSet {
-    let mut covered = BitSet::new(inst.n_targets());
-    for &s in selected {
-        covered.union_with(&inst.candidates[s].covers);
-    }
-    covered
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::greedy::greedy_cover;
     use mdg_geom::Point;
+    use proptest::prelude::*;
+
+    /// Returns `true` if `selected` is a *minimal* cover: removing any single
+    /// member breaks coverage. (Vacuously true for an empty selection over
+    /// zero targets.)
+    fn is_minimal_cover(inst: &CoverageInstance, selected: &[usize]) -> bool {
+        if !inst.is_cover(selected) {
+            return false;
+        }
+        let n = inst.n_targets();
+        let mut cover_count = vec![0u32; n];
+        for &s in selected {
+            for t in inst.candidates[s].covers.iter_ones() {
+                cover_count[t] += 1;
+            }
+        }
+        // Minimal iff every member uniquely covers some target (a member
+        // covering nothing therefore also fails this test).
+        selected.iter().all(|&s| {
+            inst.candidates[s]
+                .covers
+                .iter_ones()
+                .any(|t| cover_count[t] == 1)
+        })
+    }
 
     fn line(xs: &[f64]) -> Vec<Point> {
         xs.iter().map(|&x| Point::new(x, 0.0)).collect()
@@ -145,16 +136,6 @@ mod tests {
     }
 
     #[test]
-    fn union_coverage_counts() {
-        let sensors = line(&[0.0, 10.0, 50.0]);
-        let inst = CoverageInstance::sensor_sites(&sensors, 12.0);
-        let u = union_coverage(&inst, &[0]);
-        assert_eq!(u.iter_ones().collect::<Vec<_>>(), vec![0, 1]);
-        let all = union_coverage(&inst, &[0, 2]);
-        assert!(all.all());
-    }
-
-    #[test]
     fn minimality_detects_redundancy() {
         let sensors = line(&[0.0, 10.0, 20.0]);
         let inst = CoverageInstance::sensor_sites(&sensors, 12.0);
@@ -169,5 +150,19 @@ mod tests {
         let sensors = line(&[0.0, 100.0]);
         let inst = CoverageInstance::sensor_sites(&sensors, 10.0);
         prune_cover(&inst, &[0], |_| 0.0);
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        #[test]
+        fn prune_keeps_cover_and_shrinks((sensors, range) in crate::arb_sensors()) {
+            let inst = CoverageInstance::sensor_sites(&sensors, range);
+            let sel = greedy_cover(&inst, |_| 0.0).unwrap();
+            let pruned = prune_cover(&inst, &sel, |c| sensors[c].x);
+            prop_assert!(inst.is_cover(&pruned));
+            prop_assert!(pruned.len() <= sel.len());
+            prop_assert!(is_minimal_cover(&inst, &pruned));
+        }
     }
 }

@@ -1,6 +1,6 @@
 //! Property-based tests for coverage instances and set-cover solvers.
 
-use mdg_cover::{exact_min_cover, greedy_cover, prune_cover, BitSet, CoverageInstance};
+use mdg_cover::{greedy_cover, BitSet, CoverageInstance};
 use mdg_geom::Point;
 use proptest::prelude::*;
 
@@ -53,33 +53,6 @@ proptest! {
             prop_assert!(gain <= prev_gain, "greedy gains are non-increasing");
             prev_gain = gain;
             covered.union_with(&inst.candidates[s].covers);
-        }
-    }
-
-    #[test]
-    fn prune_keeps_cover_and_shrinks((sensors, range) in arb_sensors()) {
-        let inst = CoverageInstance::sensor_sites(&sensors, range);
-        let sel = greedy_cover(&inst, |_| 0.0).unwrap();
-        let pruned = prune_cover(&inst, &sel, |c| sensors[c].x);
-        prop_assert!(inst.is_cover(&pruned));
-        prop_assert!(pruned.len() <= sel.len());
-        prop_assert!(mdg_cover::prune::is_minimal_cover(&inst, &pruned));
-    }
-
-    #[test]
-    fn exact_is_optimal_lower_bound((sensors, range) in arb_sensors()) {
-        // Keep the exact search cheap: only run on smaller instances.
-        if sensors.len() > 22 { return Ok(()); }
-        let inst = CoverageInstance::sensor_sites(&sensors, range);
-        let greedy = greedy_cover(&inst, |_| 0.0).unwrap();
-        let pruned = prune_cover(&inst, &greedy, |_| 0.0);
-        if let Some(opt) = exact_min_cover(&inst) {
-            prop_assert!(inst.is_cover(&opt));
-            prop_assert!(opt.len() <= greedy.len());
-            prop_assert!(opt.len() <= pruned.len());
-            // Greedy's ln(n)+1 approximation guarantee.
-            let bound = (sensors.len() as f64).ln() + 1.0;
-            prop_assert!((greedy.len() as f64) <= bound * opt.len() as f64 + 1e-9);
         }
     }
 

@@ -24,4 +24,4 @@ pub mod stats;
 pub use battery::Battery;
 pub use ledger::EnergyLedger;
 pub use radio::RadioModel;
-pub use stats::{jain_index, quantile, Summary};
+pub use stats::{jain_index, Summary};

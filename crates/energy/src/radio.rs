@@ -13,7 +13,7 @@ use serde::{Deserialize, Serialize};
 /// let radio = RadioModel::default();
 /// // A relayed hop costs the relay both a reception and a transmission —
 /// // the overhead single-hop mobile collection eliminates.
-/// assert!(radio.relay_cost(20.0) > radio.tx_cost(20.0));
+/// assert!(radio.rx_cost() + radio.tx_cost(20.0) > radio.tx_cost(20.0));
 /// assert!(radio.tx_cost(40.0) > radio.tx_cost(20.0), "amplifier cost grows with d^α");
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -79,27 +79,6 @@ impl RadioModel {
     pub fn rx_cost(&self) -> f64 {
         self.packet_bits * self.e_elec
     }
-
-    /// Energy for one relay hop over distance `d`: the relay both receives
-    /// and retransmits the packet.
-    #[inline]
-    pub fn relay_cost(&self, d: f64) -> f64 {
-        self.rx_cost() + self.tx_cost(d)
-    }
-
-    /// Total network energy to deliver one packet along a multi-hop path
-    /// with the given hop distances: the source transmits, every
-    /// intermediate node receives and retransmits, and the final reception
-    /// is charged to the destination (sink receptions are usually free in
-    /// lifetime terms, so callers may subtract [`RadioModel::rx_cost`]).
-    pub fn path_cost(&self, hop_distances: &[f64]) -> f64 {
-        if hop_distances.is_empty() {
-            return 0.0;
-        }
-        let tx: f64 = hop_distances.iter().map(|&d| self.tx_cost(d)).sum();
-        let rx = self.rx_cost() * hop_distances.len() as f64;
-        tx + rx
-    }
 }
 
 #[cfg(test)]
@@ -132,26 +111,12 @@ mod tests {
     }
 
     #[test]
-    fn relay_is_rx_plus_tx() {
-        let m = RadioModel::default();
-        assert!((m.relay_cost(25.0) - (m.rx_cost() + m.tx_cost(25.0))).abs() < 1e-18);
-    }
-
-    #[test]
-    fn path_cost_accumulates_hops() {
-        let m = RadioModel::default();
-        let hops = [10.0, 20.0, 15.0];
-        let expect = m.tx_cost(10.0) + m.tx_cost(20.0) + m.tx_cost(15.0) + 3.0 * m.rx_cost();
-        assert!((m.path_cost(&hops) - expect).abs() < 1e-15);
-        assert_eq!(m.path_cost(&[]), 0.0);
-    }
-
-    #[test]
     fn single_hop_beats_two_relays_of_same_total_length() {
         // Core premise of mobile collection: one short hop beats a relayed
         // path because every relay pays the electronics cost twice.
         let m = RadioModel::default();
-        assert!(m.path_cost(&[15.0]) < m.path_cost(&[7.5, 7.5]));
+        let hop = |d: f64| m.tx_cost(d) + m.rx_cost();
+        assert!(hop(15.0) < hop(7.5) + hop(7.5));
     }
 
     #[test]

@@ -67,26 +67,6 @@ pub fn jain_index(xs: &[f64]) -> f64 {
     sum * sum / (xs.len() as f64 * sum_sq)
 }
 
-/// The `q`-quantile (0 ≤ q ≤ 1) of `xs` by linear interpolation between
-/// order statistics. Returns 0 for an empty slice.
-pub fn quantile(xs: &[f64], q: f64) -> f64 {
-    if xs.is_empty() {
-        return 0.0;
-    }
-    let mut sorted = xs.to_vec();
-    sorted.sort_by(|a, b| a.partial_cmp(b).unwrap());
-    let q = q.clamp(0.0, 1.0);
-    let pos = q * (sorted.len() - 1) as f64;
-    let lo = pos.floor() as usize;
-    let hi = pos.ceil() as usize;
-    if lo == hi {
-        sorted[lo]
-    } else {
-        let frac = pos - lo as f64;
-        sorted[lo] * (1.0 - frac) + sorted[hi] * frac
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -123,18 +103,5 @@ mod tests {
         assert_eq!(jain_index(&[0.0, 0.0]), 1.0);
         // Monotone: more skew, lower index.
         assert!(jain_index(&[4.0, 6.0]) > jain_index(&[1.0, 9.0]));
-    }
-
-    #[test]
-    fn quantiles() {
-        let xs = [4.0, 1.0, 3.0, 2.0];
-        assert_eq!(quantile(&xs, 0.0), 1.0);
-        assert_eq!(quantile(&xs, 1.0), 4.0);
-        assert!((quantile(&xs, 0.5) - 2.5).abs() < 1e-12);
-        assert_eq!(quantile(&[], 0.5), 0.0);
-        assert_eq!(quantile(&[42.0], 0.3), 42.0);
-        // Out-of-range q clamps.
-        assert_eq!(quantile(&xs, -1.0), 1.0);
-        assert_eq!(quantile(&xs, 2.0), 4.0);
     }
 }

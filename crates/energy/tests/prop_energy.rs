@@ -22,19 +22,6 @@ proptest! {
     }
 
     #[test]
-    fn relaying_always_costs_more_than_one_direct_hop_of_each_leg(
-        model in arb_model(),
-        legs in proptest::collection::vec(0.1..100.0f64, 1..6),
-    ) {
-        // Path cost ≥ sum of pure transmission costs (receptions are extra).
-        let tx_only: f64 = legs.iter().map(|&d| model.tx_cost(d)).sum();
-        prop_assert!(model.path_cost(&legs) >= tx_only);
-        // Exactly rx per hop more.
-        let expect = tx_only + model.rx_cost() * legs.len() as f64;
-        prop_assert!((model.path_cost(&legs) - expect).abs() < 1e-15);
-    }
-
-    #[test]
     fn ledger_totals_equal_sum_of_events(
         model in arb_model(),
         events in proptest::collection::vec((0usize..10, 0.0..100.0f64, any::<bool>()), 0..100),

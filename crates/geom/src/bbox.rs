@@ -68,19 +68,6 @@ impl Aabb {
         }
     }
 
-    /// Box grown by `margin` on every side. A negative margin shrinks the
-    /// box; the result is clamped so it never inverts.
-    pub fn expanded(&self, margin: f64) -> Aabb {
-        let min = Point::new(self.min.x - margin, self.min.y - margin);
-        let max = Point::new(self.max.x + margin, self.max.y + margin);
-        if min.x > max.x || min.y > max.y {
-            let c = self.center();
-            Aabb { min: c, max: c }
-        } else {
-            Aabb { min, max }
-        }
-    }
-
     /// Clamps `p` into the box.
     pub fn clamp(&self, p: Point) -> Point {
         Point::new(
@@ -146,18 +133,6 @@ mod tests {
         assert!(u.contains(Point::new(7.0, 9.0)));
         assert_eq!(u.min, Point::ORIGIN);
         assert_eq!(u.max, Point::new(7.0, 9.0));
-    }
-
-    #[test]
-    fn expanded_and_shrunk() {
-        let b = Aabb::square(10.0);
-        let grown = b.expanded(2.0);
-        assert_eq!(grown.min, Point::new(-2.0, -2.0));
-        assert_eq!(grown.max, Point::new(12.0, 12.0));
-        // Shrinking past inversion collapses to the center.
-        let collapsed = b.expanded(-100.0);
-        assert_eq!(collapsed.min, collapsed.max);
-        assert_eq!(collapsed.min, b.center());
     }
 
     #[test]

@@ -43,19 +43,6 @@ impl DistMatrix {
         DistMatrix { n, data }
     }
 
-    /// Builds a matrix from an explicit symmetric cost function, called
-    /// once per pair `i < j`.
-    pub fn from_fn<F: FnMut(usize, usize) -> f64>(n: usize, mut cost: F) -> Self {
-        let mut data = vec![0.0; n * n];
-        for i in 0..n {
-            for j in (i + 1)..n {
-                data[i * n + j] = cost(i, j);
-            }
-        }
-        mirror_upper(&mut data, n);
-        DistMatrix { n, data }
-    }
-
     /// Matrix dimension.
     #[inline]
     pub fn n(&self) -> usize {
@@ -76,15 +63,6 @@ impl DistMatrix {
     /// The largest pairwise distance (0 for n < 2).
     pub fn max(&self) -> f64 {
         self.data.iter().copied().fold(0.0, f64::max)
-    }
-
-    /// Index of the point in `candidates` closest to `from`, or `None` if
-    /// `candidates` is empty.
-    pub fn nearest_among(&self, from: usize, candidates: &[usize]) -> Option<usize> {
-        candidates
-            .iter()
-            .copied()
-            .min_by(|&a, &b| self.get(from, a).partial_cmp(&self.get(from, b)).unwrap())
     }
 }
 
@@ -152,28 +130,6 @@ mod tests {
     fn max_is_diagonal_of_square() {
         let m = DistMatrix::from_points(&unit_square());
         assert!(approx_eq(m.max(), 2.0_f64.sqrt()));
-    }
-
-    #[test]
-    fn from_fn_explicit_costs() {
-        let m = DistMatrix::from_fn(3, |i, j| (i + j) as f64);
-        assert!(approx_eq(m.get(0, 1), 1.0));
-        assert!(approx_eq(m.get(1, 2), 3.0));
-        assert!(approx_eq(m.get(2, 0), 2.0));
-    }
-
-    #[test]
-    fn nearest_among_candidates() {
-        let pts = vec![
-            Point::new(0.0, 0.0),
-            Point::new(1.0, 0.0),
-            Point::new(5.0, 0.0),
-            Point::new(0.5, 0.0),
-        ];
-        let m = DistMatrix::from_points(&pts);
-        assert_eq!(m.nearest_among(0, &[1, 2, 3]), Some(3));
-        assert_eq!(m.nearest_among(2, &[0, 1]), Some(1));
-        assert_eq!(m.nearest_among(0, &[]), None);
     }
 
     #[test]

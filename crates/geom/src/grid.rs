@@ -23,7 +23,7 @@ use crate::point::Point;
 /// let mut near = grid.neighbors_within(Point::new(1.0, 0.0), 10.0);
 /// near.sort_unstable();
 /// assert_eq!(near, vec![0, 1]);
-/// assert_eq!(grid.nearest(Point::new(40.0, 40.0)), Some(2));
+/// assert_eq!(grid.k_nearest(Point::new(40.0, 40.0), 1, None), vec![2]);
 /// ```
 #[derive(Debug, Clone)]
 pub struct SpatialGrid {
@@ -118,15 +118,8 @@ impl SpatialGrid {
     /// correct.
     pub fn neighbors_within(&self, query: Point, radius: f64) -> Vec<u32> {
         let mut out = Vec::new();
-        self.neighbors_within_into(query, radius, &mut out);
-        out
-    }
-
-    /// [`SpatialGrid::neighbors_within`] into a caller-owned buffer
-    /// (cleared first), so steady-state query loops reuse capacity.
-    pub fn neighbors_within_into(&self, query: Point, radius: f64, out: &mut Vec<u32>) {
-        out.clear();
         self.for_each_within(query, radius, |i| out.push(i));
+        out
     }
 
     /// Visits the index of every point within `radius` of `query`.
@@ -136,7 +129,7 @@ impl SpatialGrid {
 
     /// Visits `(index, dist_sq)` of every point within `radius` of `query`
     /// — the distance is already computed for the filter, so callers that
-    /// need it (k-NN, nearest) avoid a second scan of the point data.
+    /// need it (k-NN) avoid a second scan of the point data.
     pub fn for_each_within_d<F: FnMut(u32, f64)>(&self, query: Point, radius: f64, mut f: F) {
         if self.items.is_empty() {
             return;
@@ -226,51 +219,6 @@ impl SpatialGrid {
             radius *= 2.0;
         }
     }
-
-    /// Index of the point nearest to `query`, or `None` if the grid is
-    /// empty. Expands the search ring until a hit is confirmed closest.
-    pub fn nearest(&self, query: Point) -> Option<u32> {
-        if self.items.is_empty() {
-            return None;
-        }
-        let mut radius = self.cell;
-        let diag = {
-            let w = self.cols as f64 * self.cell;
-            let h = self.rows as f64 * self.cell;
-            (w * w + h * h).sqrt() + self.cell
-        };
-        loop {
-            let mut best: Option<(u32, f64)> = None;
-            self.for_each_within_d(query, radius, |i, d| {
-                if best.is_none_or(|(_, bd)| d < bd) {
-                    best = Some((i, d));
-                }
-            });
-            if let Some((i, d_sq)) = best {
-                // A hit is only guaranteed nearest if it is within the
-                // scanned radius (candidates outside the ring were skipped).
-                if d_sq.sqrt() <= radius {
-                    return Some(i);
-                }
-            }
-            if radius > diag {
-                // Fall back to a full scan; only reachable for queries far
-                // outside the indexed extent. Ties resolve to the smallest
-                // original index (matching the pre-SoA first-wins scan in
-                // index order), so the permuted slot order is invisible.
-                let mut best: Option<(f64, u32)> = None;
-                for s in 0..self.items.len() {
-                    let d = Point::new(self.xs[s], self.ys[s]).dist_sq(query);
-                    let i = self.items[s];
-                    if best.is_none_or(|(bd, bi)| d < bd || (d == bd && i < bi)) {
-                        best = Some((d, i));
-                    }
-                }
-                return best.map(|(_, i)| i);
-            }
-            radius *= 2.0;
-        }
-    }
 }
 
 /// Sizes a lattice of square cells over the bounding box of `points`, for
@@ -342,29 +290,18 @@ mod tests {
     }
 
     #[test]
-    fn nearest_picks_closest() {
-        let pts = cluster();
-        let grid = SpatialGrid::build(&pts, 3.0);
-        assert_eq!(grid.nearest(Point::new(0.4, 0.0)), Some(0));
-        assert_eq!(grid.nearest(Point::new(0.6, 0.0)), Some(1));
-        assert_eq!(grid.nearest(Point::new(19.0, 19.0)), Some(4));
-        // Query far outside the extent still resolves.
-        assert_eq!(grid.nearest(Point::new(-100.0, -100.0)), Some(0));
-    }
-
-    #[test]
     fn empty_grid() {
         let grid = SpatialGrid::build(&[], 1.0);
         assert!(grid.is_empty());
         assert!(grid.neighbors_within(Point::ORIGIN, 10.0).is_empty());
-        assert_eq!(grid.nearest(Point::ORIGIN), None);
+        assert!(grid.k_nearest(Point::ORIGIN, 1, None).is_empty());
     }
 
     #[test]
     fn single_point_grid() {
         let grid = SpatialGrid::build(&[Point::new(3.0, 4.0)], 2.0);
         assert_eq!(grid.len(), 1);
-        assert_eq!(grid.nearest(Point::ORIGIN), Some(0));
+        assert_eq!(grid.k_nearest(Point::ORIGIN, 1, None), vec![0]);
         assert_eq!(grid.neighbors_within(Point::ORIGIN, 5.0), vec![0]);
         assert!(grid.neighbors_within(Point::ORIGIN, 4.9).is_empty());
     }
@@ -381,7 +318,7 @@ mod tests {
         let mut near = grid.neighbors_within(Point::new(120.0, 0.0), 60.0);
         near.sort_unstable();
         assert_eq!(near, vec![1, 2, 3]);
-        assert_eq!(grid.nearest(Point::new(1000.0, 5.0)), Some(17));
+        assert_eq!(grid.k_nearest(Point::new(1000.0, 5.0), 1, None), vec![17]);
         assert_eq!(
             grid.k_nearest(Point::new(0.0, 0.0), 3, Some(0)),
             vec![1, 2, 3]
@@ -391,7 +328,7 @@ mod tests {
         let pts: Vec<Point> = pts.iter().map(|p| Point::new(0.0, p.x)).collect();
         let grid = SpatialGrid::build(&pts, 1e-9);
         assert!(grid.cols * grid.rows <= 3 * max_cells + 1);
-        assert_eq!(grid.nearest(Point::new(5.0, 1000.0)), Some(17));
+        assert_eq!(grid.k_nearest(Point::new(5.0, 1000.0), 1, None), vec![17]);
     }
 
     #[test]

@@ -14,7 +14,7 @@ use crate::point::Point;
 /// * a single point for an input of identical points,
 /// * two points for a collinear input,
 /// * otherwise the CCW hull polygon without a repeated first vertex.
-pub fn convex_hull(points: &[Point]) -> Vec<Point> {
+fn convex_hull(points: &[Point]) -> Vec<Point> {
     let mut pts: Vec<Point> = points.to_vec();
     pts.sort_by(|a, b| {
         a.x.partial_cmp(&b.x)
@@ -74,30 +74,46 @@ pub fn hull_perimeter(points: &[Point]) -> f64 {
     }
 }
 
-/// Returns `true` if `p` lies inside or on the boundary of the CCW convex
-/// polygon `hull`.
-pub fn hull_contains(hull: &[Point], p: Point) -> bool {
-    if hull.len() < 3 {
-        return match hull.len() {
-            0 => false,
-            1 => hull[0].dist(p) < crate::EPS,
-            _ => crate::Segment::new(hull[0], hull[1]).dist_to_point(p) < crate::EPS,
-        };
-    }
-    for i in 0..hull.len() {
-        let a = hull[i];
-        let b = hull[(i + 1) % hull.len()];
-        if (b - a).cross(p - a) < -crate::EPS {
-            return false;
-        }
-    }
-    true
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::approx_eq;
+    use proptest::prelude::*;
+
+    /// Returns `true` if `p` lies inside or on the boundary of the CCW convex
+    /// polygon `hull`.
+    fn hull_contains(hull: &[Point], p: Point) -> bool {
+        if hull.len() < 3 {
+            return match hull.len() {
+                0 => false,
+                1 => hull[0].dist(p) < crate::EPS,
+                _ => crate::Segment::new(hull[0], hull[1]).dist_to_point(p) < crate::EPS,
+            };
+        }
+        for i in 0..hull.len() {
+            let a = hull[i];
+            let b = hull[(i + 1) % hull.len()];
+            if (b - a).cross(p - a) < -crate::EPS {
+                return false;
+            }
+        }
+        true
+    }
+
+    proptest! {
+        #[test]
+        fn hull_contains_all_points(
+            pts in proptest::collection::vec((-1e4..1e4f64, -1e4..1e4f64), 1..50),
+        ) {
+            let pts: Vec<Point> = pts.into_iter().map(|(x, y)| Point::new(x, y)).collect();
+            let hull = convex_hull(&pts);
+            if hull.len() >= 3 {
+                for p in &pts {
+                    prop_assert!(hull_contains(&hull, *p));
+                }
+            }
+        }
+    }
 
     #[test]
     fn hull_of_square_with_interior_points() {

@@ -30,10 +30,9 @@ pub mod tiles;
 pub use bbox::Aabb;
 pub use distmat::DistMatrix;
 pub use grid::SpatialGrid;
-pub use hull::{convex_hull, hull_perimeter};
-pub use point::centroid;
+pub use hull::hull_perimeter;
 pub use point::Point;
-pub use polyline::{closed_tour_length, open_path_length, ArcLengthPath};
+pub use polyline::{closed_tour_length, open_path_length};
 pub use segment::Segment;
 pub use tiles::Tiling;
 

@@ -100,20 +100,6 @@ impl Point {
     pub fn is_finite(&self) -> bool {
         self.x.is_finite() && self.y.is_finite()
     }
-
-    /// The point advanced from `self` towards `target` by `step` meters.
-    /// If `step` exceeds the remaining distance the result is `target`
-    /// (no overshoot) — this is the motion primitive used by the mobile
-    /// collector kinematics in `mdg-sim`.
-    pub fn step_towards(&self, target: Point, step: f64) -> Point {
-        debug_assert!(step >= 0.0, "step must be non-negative");
-        let d = self.dist(target);
-        if d <= step || d < crate::EPS {
-            target
-        } else {
-            self.lerp(target, step / d)
-        }
-    }
 }
 
 impl Add for Point {
@@ -185,15 +171,6 @@ impl From<(f64, f64)> for Point {
     }
 }
 
-/// Centroid of a non-empty point set. Returns the origin for an empty slice.
-pub fn centroid(points: &[Point]) -> Point {
-    if points.is_empty() {
-        return Point::ORIGIN;
-    }
-    let sum = points.iter().fold(Point::ORIGIN, |acc, &p| acc + p);
-    sum / points.len() as f64
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -251,19 +228,6 @@ mod tests {
     }
 
     #[test]
-    fn step_towards_no_overshoot() {
-        let a = Point::new(0.0, 0.0);
-        let b = Point::new(10.0, 0.0);
-        assert_eq!(a.step_towards(b, 4.0), Point::new(4.0, 0.0));
-        // Stepping past the target lands exactly on the target.
-        assert_eq!(a.step_towards(b, 100.0), b);
-        // Zero-length step stays put.
-        assert_eq!(a.step_towards(b, 0.0), a);
-        // Stepping from the target stays at the target.
-        assert_eq!(b.step_towards(b, 5.0), b);
-    }
-
-    #[test]
     fn angle_quadrants() {
         assert!(approx_eq(Point::new(1.0, 0.0).angle(), 0.0));
         assert!(approx_eq(
@@ -274,17 +238,5 @@ mod tests {
             Point::new(-1.0, 0.0).angle(),
             std::f64::consts::PI
         ));
-    }
-
-    #[test]
-    fn centroid_of_square() {
-        let pts = [
-            Point::new(0.0, 0.0),
-            Point::new(2.0, 0.0),
-            Point::new(2.0, 2.0),
-            Point::new(0.0, 2.0),
-        ];
-        assert_eq!(centroid(&pts), Point::new(1.0, 1.0));
-        assert_eq!(centroid(&[]), Point::ORIGIN);
     }
 }

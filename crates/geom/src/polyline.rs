@@ -1,8 +1,7 @@
-//! Polyline and tour length helpers plus arc-length parameterization.
+//! Polyline and tour lengths.
 //!
 //! The mobile collector's trajectory is a closed polyline through the sink
-//! and the polling points; `mdg-sim` moves the collector along it by
-//! arc-length.
+//! and the polling points; its length is the tour length every plan reports.
 
 use crate::point::Point;
 
@@ -18,90 +17,6 @@ pub fn closed_tour_length(tour: &[Point]) -> f64 {
         return 0.0;
     }
     open_path_length(tour) + tour[tour.len() - 1].dist(tour[0])
-}
-
-/// A point set sampled along a (closed or open) polyline, addressable by
-/// arc-length. Construction is `O(k)`; lookups are `O(log k)`.
-#[derive(Debug, Clone)]
-pub struct ArcLengthPath {
-    vertices: Vec<Point>,
-    /// `cum[i]` = arc-length from the start to `vertices[i]`.
-    cum: Vec<f64>,
-    closed: bool,
-}
-
-impl ArcLengthPath {
-    /// Builds an arc-length parameterization. `closed` appends the implicit
-    /// returning edge `pₖ → p₀`.
-    ///
-    /// # Panics
-    /// Panics on an empty vertex list.
-    pub fn new(vertices: &[Point], closed: bool) -> Self {
-        assert!(!vertices.is_empty(), "path needs at least one vertex");
-        let mut cum = Vec::with_capacity(vertices.len() + 1);
-        cum.push(0.0);
-        for w in vertices.windows(2) {
-            cum.push(cum.last().unwrap() + w[0].dist(w[1]));
-        }
-        if closed && vertices.len() > 1 {
-            cum.push(cum.last().unwrap() + vertices[vertices.len() - 1].dist(vertices[0]));
-        }
-        ArcLengthPath {
-            vertices: vertices.to_vec(),
-            cum,
-            closed,
-        }
-    }
-
-    /// Total path length.
-    pub fn length(&self) -> f64 {
-        *self.cum.last().unwrap()
-    }
-
-    /// Number of vertices (excluding the implicit closing repeat).
-    pub fn vertex_count(&self) -> usize {
-        self.vertices.len()
-    }
-
-    /// The vertices the path was built from.
-    pub fn vertices(&self) -> &[Point] {
-        &self.vertices
-    }
-
-    /// Returns `true` if the path closes back on its first vertex.
-    pub fn is_closed(&self) -> bool {
-        self.closed
-    }
-
-    /// Arc-length position of vertex `i` from the start.
-    pub fn arclen_of_vertex(&self, i: usize) -> f64 {
-        self.cum[i]
-    }
-
-    /// Point at arc-length `s` from the start. `s` is clamped to
-    /// `[0, length]`.
-    pub fn point_at(&self, s: f64) -> Point {
-        let s = s.clamp(0.0, self.length());
-        // Find the segment containing s: cum[i] <= s <= cum[i+1].
-        let i = match self.cum.binary_search_by(|c| c.partial_cmp(&s).unwrap()) {
-            Ok(i) => i,
-            Err(i) => i - 1,
-        };
-        if i + 1 >= self.cum.len() {
-            return if self.closed && self.vertices.len() > 1 {
-                self.vertices[0]
-            } else {
-                *self.vertices.last().unwrap()
-            };
-        }
-        let a = self.vertices[i % self.vertices.len()];
-        let b = self.vertices[(i + 1) % self.vertices.len()];
-        let seg_len = self.cum[i + 1] - self.cum[i];
-        if seg_len < crate::EPS {
-            return a;
-        }
-        a.lerp(b, (s - self.cum[i]) / seg_len)
-    }
 }
 
 #[cfg(test)]
@@ -130,52 +45,5 @@ mod tests {
     fn two_point_closed_tour_is_out_and_back() {
         let tour = [Point::new(0.0, 0.0), Point::new(5.0, 0.0)];
         assert!(approx_eq(closed_tour_length(&tour), 10.0));
-    }
-
-    #[test]
-    fn arclen_path_open() {
-        let path = ArcLengthPath::new(&l_path(), false);
-        assert!(approx_eq(path.length(), 7.0));
-        assert_eq!(path.point_at(0.0), Point::new(0.0, 0.0));
-        assert_eq!(path.point_at(1.5), Point::new(1.5, 0.0));
-        assert_eq!(path.point_at(3.0), Point::new(3.0, 0.0));
-        assert_eq!(path.point_at(5.0), Point::new(3.0, 2.0));
-        assert_eq!(path.point_at(7.0), Point::new(3.0, 4.0));
-        // Clamped beyond the end.
-        assert_eq!(path.point_at(100.0), Point::new(3.0, 4.0));
-        assert_eq!(path.point_at(-5.0), Point::new(0.0, 0.0));
-    }
-
-    #[test]
-    fn arclen_path_closed_wraps_to_start() {
-        let path = ArcLengthPath::new(&l_path(), true);
-        assert!(approx_eq(path.length(), 12.0));
-        // Halfway down the closing hypotenuse.
-        let p = path.point_at(7.0 + 2.5);
-        assert!(approx_eq(p.dist(Point::new(1.5, 2.0)), 0.0));
-        assert_eq!(path.point_at(12.0), Point::new(0.0, 0.0));
-    }
-
-    #[test]
-    fn arclen_of_vertices_monotone() {
-        let path = ArcLengthPath::new(&l_path(), true);
-        assert!(approx_eq(path.arclen_of_vertex(0), 0.0));
-        assert!(approx_eq(path.arclen_of_vertex(1), 3.0));
-        assert!(approx_eq(path.arclen_of_vertex(2), 7.0));
-    }
-
-    #[test]
-    fn single_vertex_path() {
-        let path = ArcLengthPath::new(&[Point::new(2.0, 2.0)], true);
-        assert!(approx_eq(path.length(), 0.0));
-        assert_eq!(path.point_at(0.0), Point::new(2.0, 2.0));
-        assert_eq!(path.point_at(10.0), Point::new(2.0, 2.0));
-    }
-
-    #[test]
-    fn repeated_vertices_do_not_break_lookup() {
-        let path = ArcLengthPath::new(&[Point::ORIGIN, Point::ORIGIN, Point::new(4.0, 0.0)], false);
-        assert!(approx_eq(path.length(), 4.0));
-        assert_eq!(path.point_at(2.0), Point::new(2.0, 0.0));
     }
 }

@@ -1,4 +1,5 @@
-//! Line segments: length, closest-point and distance queries, intersection.
+//! Line segments: length, closest-point and distance queries, and the first
+//! entry of a moving point into a disk.
 //!
 //! Segments are used by the CME baseline (straight mule tracks: each sensor
 //! relays to the closest point on its track) and by tour rendering.
@@ -47,16 +48,6 @@ impl Segment {
         self.closest_point(p).dist(p)
     }
 
-    /// Point at arc-length `s` from `a` along the segment, clamped to the
-    /// segment.
-    pub fn point_at_arclen(&self, s: f64) -> Point {
-        let len = self.length();
-        if len < crate::EPS {
-            return self.a;
-        }
-        self.a.lerp(self.b, (s / len).clamp(0.0, 1.0))
-    }
-
     /// The smallest parameter `t ∈ [0, 1]` at which the point moving from
     /// `a` to `b` enters the closed disk of `radius` around `center`, or
     /// `None` if the segment never touches the disk.
@@ -85,41 +76,6 @@ impl Segment {
         let t = (-qb - disc.sqrt()) / (2.0 * qa);
         (0.0..=1.0).contains(&t).then_some(t)
     }
-
-    /// Proper-intersection test between two segments, counting touching
-    /// endpoints and collinear overlap as intersections.
-    pub fn intersects(&self, other: &Segment) -> bool {
-        let d1 = orient(other.a, other.b, self.a);
-        let d2 = orient(other.a, other.b, self.b);
-        let d3 = orient(self.a, self.b, other.a);
-        let d4 = orient(self.a, self.b, other.b);
-
-        if ((d1 > 0.0 && d2 < 0.0) || (d1 < 0.0 && d2 > 0.0))
-            && ((d3 > 0.0 && d4 < 0.0) || (d3 < 0.0 && d4 > 0.0))
-        {
-            return true;
-        }
-        (d1.abs() < crate::EPS && on_segment(other.a, other.b, self.a))
-            || (d2.abs() < crate::EPS && on_segment(other.a, other.b, self.b))
-            || (d3.abs() < crate::EPS && on_segment(self.a, self.b, other.a))
-            || (d4.abs() < crate::EPS && on_segment(self.a, self.b, other.b))
-    }
-}
-
-/// Twice the signed area of triangle `(a, b, c)`; positive when `c` lies to
-/// the left of the directed line `a → b`.
-#[inline]
-fn orient(a: Point, b: Point, c: Point) -> f64 {
-    (b - a).cross(c - a)
-}
-
-/// Assuming `p` is collinear with `a`–`b`, returns `true` if `p` lies within
-/// the segment's bounding box.
-fn on_segment(a: Point, b: Point, p: Point) -> bool {
-    p.x >= a.x.min(b.x) - crate::EPS
-        && p.x <= a.x.max(b.x) + crate::EPS
-        && p.y >= a.y.min(b.y) - crate::EPS
-        && p.y <= a.y.max(b.y) + crate::EPS
 }
 
 #[cfg(test)]
@@ -132,12 +88,9 @@ mod tests {
     }
 
     #[test]
-    fn length_and_arclen() {
+    fn length_is_euclidean() {
         let s = seg(0.0, 0.0, 6.0, 8.0);
         assert!(approx_eq(s.length(), 10.0));
-        assert_eq!(s.point_at_arclen(5.0), Point::new(3.0, 4.0));
-        assert_eq!(s.point_at_arclen(0.0), s.a);
-        assert_eq!(s.point_at_arclen(999.0), s.b, "arclen clamps to endpoint");
     }
 
     #[test]
@@ -165,28 +118,6 @@ mod tests {
     }
 
     #[test]
-    fn crossing_segments_intersect() {
-        let s1 = seg(0.0, 0.0, 10.0, 10.0);
-        let s2 = seg(0.0, 10.0, 10.0, 0.0);
-        assert!(s1.intersects(&s2));
-        assert!(s2.intersects(&s1));
-    }
-
-    #[test]
-    fn parallel_segments_do_not_intersect() {
-        let s1 = seg(0.0, 0.0, 10.0, 0.0);
-        let s2 = seg(0.0, 1.0, 10.0, 1.0);
-        assert!(!s1.intersects(&s2));
-    }
-
-    #[test]
-    fn touching_endpoint_counts_as_intersection() {
-        let s1 = seg(0.0, 0.0, 5.0, 0.0);
-        let s2 = seg(5.0, 0.0, 5.0, 5.0);
-        assert!(s1.intersects(&s2));
-    }
-
-    #[test]
     fn first_param_within_disk() {
         let s = seg(0.0, 0.0, 10.0, 0.0);
         // Disk centered above the path at (5, 3), radius 5: entry where
@@ -206,14 +137,5 @@ mod tests {
         let dot = seg(0.0, 0.0, 0.0, 0.0);
         assert_eq!(dot.first_param_within(Point::new(9.0, 0.0), 2.0), None);
         assert_eq!(dot.first_param_within(Point::new(1.0, 0.0), 2.0), Some(0.0));
-    }
-
-    #[test]
-    fn collinear_overlap_intersects() {
-        let s1 = seg(0.0, 0.0, 5.0, 0.0);
-        let s2 = seg(3.0, 0.0, 9.0, 0.0);
-        assert!(s1.intersects(&s2));
-        let s3 = seg(6.0, 0.0, 9.0, 0.0);
-        assert!(!s1.intersects(&s3), "disjoint collinear segments");
     }
 }

@@ -1,8 +1,7 @@
 //! Property-based tests for the geometry substrate.
 
 use mdg_geom::{
-    approx_eq, closed_tour_length, convex_hull, hull::hull_contains, hull_perimeter,
-    open_path_length, Aabb, ArcLengthPath, DistMatrix, Point, SpatialGrid,
+    approx_eq, closed_tour_length, hull_perimeter, Aabb, DistMatrix, Point, SpatialGrid,
 };
 use proptest::prelude::*;
 
@@ -31,15 +30,6 @@ proptest! {
         prop_assert!(approx_eq(a.dist(b), b.dist(a)));
         prop_assert!(a.dist(b) >= 0.0);
         prop_assert!(approx_eq(a.dist(a), 0.0));
-    }
-
-    #[test]
-    fn step_towards_never_overshoots(a in arb_point(), b in arb_point(), step in 0.0..1e5f64) {
-        let moved = a.step_towards(b, step);
-        // The move travels at most `step` (within fp slack)…
-        prop_assert!(a.dist(moved) <= step + 1e-6);
-        // …and never increases the distance to the target.
-        prop_assert!(moved.dist(b) <= a.dist(b) + 1e-6);
     }
 
     #[test]
@@ -78,27 +68,6 @@ proptest! {
     }
 
     #[test]
-    fn grid_nearest_equals_brute_force(pts in arb_points(40), q in arb_point()) {
-        let grid = SpatialGrid::build(&pts, 50.0);
-        let got = grid.nearest(q).unwrap();
-        let best = pts
-            .iter()
-            .map(|p| p.dist(q))
-            .fold(f64::INFINITY, f64::min);
-        prop_assert!(approx_eq(pts[got as usize].dist(q), best));
-    }
-
-    #[test]
-    fn hull_contains_all_points(pts in arb_points(50)) {
-        let hull = convex_hull(&pts);
-        if hull.len() >= 3 {
-            for p in &pts {
-                prop_assert!(hull_contains(&hull, *p));
-            }
-        }
-    }
-
-    #[test]
     fn hull_perimeter_lower_bounds_any_tour(pts in arb_points(30)) {
         // Any closed tour through all points is at least the hull perimeter.
         // (Classic TSP lower bound; here the "tour" is input order.)
@@ -114,29 +83,6 @@ proptest! {
         let mut rotated = pts.clone();
         rotated.rotate_left(rot);
         prop_assert!(approx_eq(closed_tour_length(&pts), closed_tour_length(&rotated)));
-    }
-
-    #[test]
-    fn arclen_endpoints(pts in arb_points(20)) {
-        let path = ArcLengthPath::new(&pts, false);
-        prop_assert!(approx_eq(path.length(), open_path_length(&pts)));
-        prop_assert!(approx_eq(path.point_at(0.0).dist(pts[0]), 0.0));
-        let end = path.point_at(path.length());
-        prop_assert!(end.dist(*pts.last().unwrap()) < 1e-6);
-    }
-
-    #[test]
-    fn arclen_point_lies_on_path(pts in arb_points(15), frac in 0.0..1.0f64) {
-        let path = ArcLengthPath::new(&pts, true);
-        let p = path.point_at(frac * path.length());
-        // The sampled point is within EPS of some segment of the tour.
-        let mut mind = f64::INFINITY;
-        let n = pts.len();
-        for i in 0..n {
-            let seg = mdg_geom::Segment::new(pts[i], pts[(i + 1) % n]);
-            mind = mind.min(seg.dist_to_point(p));
-        }
-        prop_assert!(mind < 1e-6, "sample {p} off-path by {mind}");
     }
 
     #[test]

@@ -29,26 +29,6 @@ pub fn components(g: &Csr) -> (usize, Vec<u32>) {
     (next as usize, labels)
 }
 
-/// Node ids of the largest connected component (ties broken toward the
-/// smaller label). Empty for an empty graph.
-pub fn largest_component_nodes(g: &Csr) -> Vec<usize> {
-    let (count, labels) = components(g);
-    if count == 0 {
-        return Vec::new();
-    }
-    let mut sizes = vec![0usize; count];
-    for &l in &labels {
-        sizes[l as usize] += 1;
-    }
-    let best = sizes
-        .iter()
-        .enumerate()
-        .max_by(|a, b| a.1.cmp(b.1).then(b.0.cmp(&a.0)))
-        .map(|(i, _)| i as u32)
-        .unwrap();
-    (0..g.n()).filter(|&v| labels[v] == best).collect()
-}
-
 /// Sizes of all components, descending.
 pub fn component_sizes(g: &Csr) -> Vec<usize> {
     let (count, labels) = components(g);
@@ -91,12 +71,6 @@ mod tests {
     }
 
     #[test]
-    fn largest_component() {
-        let g = three_islands();
-        assert_eq!(largest_component_nodes(&g), vec![0, 1, 2]);
-    }
-
-    #[test]
     fn sizes_descending() {
         assert_eq!(component_sizes(&three_islands()), vec![3, 2, 1]);
     }
@@ -106,17 +80,16 @@ mod tests {
         let g = Csr::from_edges(4, &[(0, 1, 1.0), (1, 2, 1.0), (2, 3, 1.0)]);
         let (count, _) = components(&g);
         assert_eq!(count, 1);
-        assert_eq!(largest_component_nodes(&g).len(), 4);
+        assert_eq!(component_sizes(&g), vec![4]);
     }
 
     #[test]
     fn empty_and_edgeless() {
         let empty = Csr::from_edges(0, &[]);
         assert_eq!(components(&empty).0, 0);
-        assert!(largest_component_nodes(&empty).is_empty());
+        assert!(component_sizes(&empty).is_empty());
         let edgeless = Csr::from_edges(3, &[]);
         assert_eq!(components(&edgeless).0, 3);
-        assert_eq!(largest_component_nodes(&edgeless).len(), 1);
         assert_eq!(component_sizes(&edgeless), vec![1, 1, 1]);
     }
 }

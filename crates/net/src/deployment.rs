@@ -92,24 +92,6 @@ pub enum Topology {
     },
 }
 
-impl Topology {
-    /// Total number of sensors this topology will generate.
-    pub fn sensor_count(&self) -> usize {
-        match *self {
-            Topology::UniformRandom { n } => n,
-            Topology::GridJitter { nx, ny, .. } => nx * ny,
-            Topology::GaussianClusters {
-                clusters,
-                per_cluster,
-                ..
-            } => clusters * per_cluster,
-            Topology::Corridors {
-                bands, per_band, ..
-            } => bands * per_band,
-        }
-    }
-}
-
 /// Full deployment specification.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct DeploymentConfig {
@@ -375,38 +357,6 @@ mod tests {
         let d = cfg.generate(1);
         assert_eq!(d.sink, Point::new(-50.0, -50.0));
         assert!(!d.field.contains(d.sink));
-    }
-
-    #[test]
-    fn sensor_count_matches_topology() {
-        assert_eq!(Topology::UniformRandom { n: 7 }.sensor_count(), 7);
-        assert_eq!(
-            Topology::GridJitter {
-                nx: 3,
-                ny: 4,
-                jitter: 0.0
-            }
-            .sensor_count(),
-            12
-        );
-        assert_eq!(
-            Topology::GaussianClusters {
-                clusters: 2,
-                per_cluster: 5,
-                sigma: 1.0
-            }
-            .sensor_count(),
-            10
-        );
-        assert_eq!(
-            Topology::Corridors {
-                bands: 2,
-                per_band: 6,
-                band_height: 5.0
-            }
-            .sensor_count(),
-            12
-        );
     }
 
     #[test]

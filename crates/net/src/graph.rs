@@ -1,7 +1,7 @@
 //! Compressed-sparse-row (CSR) adjacency for undirected weighted graphs.
 //!
-//! CSR keeps each node's neighbor list contiguous, which is what the BFS /
-//! Dijkstra inner loops in the experiment sweeps want: one cache line per
+//! CSR keeps each node's neighbor list contiguous, which is what the BFS
+//! inner loops of the multi-hop baselines want: one cache line per
 //! neighborhood instead of a pointer chase per edge (this is why the graph
 //! library is hand-rolled rather than pulled from a general-purpose crate).
 

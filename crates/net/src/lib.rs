@@ -10,30 +10,27 @@
 //!   and the sink) can communicate iff their Euclidean distance is at most
 //!   the transmission range `R`. Adjacency is stored in compressed sparse
 //!   row ([`graph::Csr`]) form.
-//! * **Graph algorithms** ([`traverse`], [`mod@dijkstra`], [`mod@components`]):
-//!   BFS hop trees (the minimum-hop routing structure used by the paper's
-//!   multi-hop baseline), weighted shortest-path trees, connected
-//!   components, and bounded k-hop neighborhood queries.
+//! * **Graph algorithms** ([`traverse`], [`mod@components`]): BFS hop trees
+//!   (the minimum-hop routing structure used by the paper's multi-hop
+//!   baseline) and connected components.
 //!
 //! Everything is deterministic given a seed: the experiment harness relies
 //! on replaying identical topologies across schemes.
 
 pub mod components;
 pub mod deployment;
-pub mod dijkstra;
 pub mod graph;
 pub mod stats;
 pub mod traverse;
 pub mod udg;
 pub mod unionfind;
 
-pub use components::{component_sizes, components, largest_component_nodes};
+pub use components::{component_sizes, components};
 pub use deployment::{Deployment, DeploymentConfig, SinkPlacement, Topology};
-pub use dijkstra::{dijkstra, DijkstraResult};
 pub use graph::Csr;
-pub use stats::{connectivity_probability, degree_histogram, TopologyStats};
-pub use traverse::{bfs_hops, bfs_tree, khop_counts, multi_source_bfs_hops, BfsTree};
-pub use udg::{build_udg, Network};
+pub use stats::TopologyStats;
+pub use traverse::{bfs_hops, bfs_tree, BfsTree};
+pub use udg::Network;
 
 /// Sentinel meaning "unreachable" in hop-count vectors.
 pub const UNREACHABLE: u32 = u32::MAX;

@@ -1,10 +1,9 @@
-//! Topology statistics: degree structure and connectivity probability.
+//! Topology statistics: degree and component structure.
 //!
 //! The evaluation interprets its sweeps through density arguments
 //! ("sensors become more densely scattered…"), so the harness reports the
 //! structural quantities behind them.
 
-use crate::deployment::DeploymentConfig;
 use crate::graph::Csr;
 use crate::udg::Network;
 use serde::{Deserialize, Serialize};
@@ -54,34 +53,6 @@ impl TopologyStats {
     }
 }
 
-/// Histogram of node degrees: `hist[d]` = number of nodes with degree `d`.
-pub fn degree_histogram(g: &Csr) -> Vec<usize> {
-    let max = (0..g.n()).map(|v| g.degree(v)).max().unwrap_or(0);
-    let mut hist = vec![0usize; max + 1];
-    for v in 0..g.n() {
-        hist[g.degree(v)] += 1;
-    }
-    hist
-}
-
-/// Monte-Carlo estimate of the probability that a deployment drawn from
-/// `cfg` is connected at transmission range `range`, over `trials` seeded
-/// topologies starting at `base_seed`. Deterministic for fixed inputs.
-pub fn connectivity_probability(
-    cfg: &DeploymentConfig,
-    range: f64,
-    trials: usize,
-    base_seed: u64,
-) -> f64 {
-    assert!(trials > 0, "need at least one trial");
-    let connected = (0..trials)
-        .filter(|&i| {
-            Network::build(cfg.generate(base_seed.wrapping_add(i as u64)), range).is_connected()
-        })
-        .count();
-    connected as f64 / trials as f64
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -102,36 +73,5 @@ mod tests {
         assert_eq!(s.components, 2);
         assert_eq!(s.largest_component, 3);
         assert!((s.mean_degree - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn histogram_sums_to_n() {
-        let h = degree_histogram(&sample());
-        assert_eq!(h, vec![1, 2, 1]);
-        assert_eq!(h.iter().sum::<usize>(), 4);
-        // Empty graph.
-        let empty = Csr::from_edges(0, &[]);
-        assert_eq!(degree_histogram(&empty), vec![0]);
-    }
-
-    #[test]
-    fn connectivity_probability_monotone_in_range() {
-        let cfg = DeploymentConfig::uniform(60, 200.0);
-        let p_small = connectivity_probability(&cfg, 15.0, 20, 7);
-        let p_big = connectivity_probability(&cfg, 80.0, 20, 7);
-        assert!(p_small <= p_big, "{p_small} vs {p_big}");
-        assert!((0.0..=1.0).contains(&p_small));
-        assert!(
-            p_big > 0.9,
-            "a 80 m range on 60/200 m must almost surely connect"
-        );
-    }
-
-    #[test]
-    fn connectivity_probability_is_deterministic() {
-        let cfg = DeploymentConfig::uniform(40, 200.0);
-        let a = connectivity_probability(&cfg, 35.0, 15, 3);
-        let b = connectivity_probability(&cfg, 35.0, 15, 3);
-        assert_eq!(a, b);
     }
 }

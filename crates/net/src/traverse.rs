@@ -1,9 +1,7 @@
-//! Breadth-first traversals: hop distances, BFS trees, bounded k-hop
-//! neighborhoods.
+//! Breadth-first traversals: hop distances and BFS trees.
 //!
 //! BFS from the sink over the full graph yields the minimum-hop routing
-//! structure of the paper's multi-hop baseline; bounded k-hop counts drive
-//! polling-point priorities.
+//! structure of the paper's multi-hop baseline.
 
 use crate::graph::Csr;
 use crate::UNREACHABLE;
@@ -97,87 +95,6 @@ pub fn bfs_tree(g: &Csr, source: usize) -> BfsTree {
     }
 }
 
-/// Hop distance from each node to its nearest source in `sources`.
-pub fn multi_source_bfs_hops(g: &Csr, sources: &[usize]) -> Vec<u32> {
-    let mut hops = vec![UNREACHABLE; g.n()];
-    let mut queue = VecDeque::new();
-    for &s in sources {
-        assert!(s < g.n(), "source out of range");
-        if hops[s] != 0 {
-            hops[s] = 0;
-            queue.push_back(s as u32);
-        }
-    }
-    // An empty graph or source list leaves everything unreachable.
-    if g.n() == 0 {
-        return hops;
-    }
-    while let Some(u) = queue.pop_front() {
-        let hu = hops[u as usize];
-        for &v in g.neighbors(u as usize) {
-            if hops[v as usize] == UNREACHABLE {
-                hops[v as usize] = hu + 1;
-                queue.push_back(v);
-            }
-        }
-    }
-    hops
-}
-
-/// For every node, the number of nodes within `k` hops (excluding itself).
-///
-/// Runs one bounded BFS per node: `O(n · (n + m))` worst case but pruned at
-/// depth `k`, which is tiny (`k ≤ 4`) in all experiments.
-pub fn khop_counts(g: &Csr, k: u32) -> Vec<u32> {
-    let n = g.n();
-    let mut counts = vec![0u32; n];
-    // Reusable visit-stamp buffer avoids a clear per source.
-    let mut stamp = vec![u32::MAX; n];
-    let mut queue: VecDeque<(u32, u32)> = VecDeque::new();
-    for s in 0..n {
-        let mut c = 0u32;
-        queue.clear();
-        stamp[s] = s as u32;
-        queue.push_back((s as u32, 0));
-        while let Some((u, d)) = queue.pop_front() {
-            if d == k {
-                continue;
-            }
-            for &v in g.neighbors(u as usize) {
-                if stamp[v as usize] != s as u32 {
-                    stamp[v as usize] = s as u32;
-                    c += 1;
-                    queue.push_back((v, d + 1));
-                }
-            }
-        }
-        counts[s] = c;
-    }
-    counts
-}
-
-/// The set of nodes within `k` hops of `source`, excluding `source`.
-pub fn khop_neighborhood(g: &Csr, source: usize, k: u32) -> Vec<u32> {
-    let mut out = Vec::new();
-    let mut seen = vec![false; g.n()];
-    let mut queue = VecDeque::new();
-    seen[source] = true;
-    queue.push_back((source as u32, 0u32));
-    while let Some((u, d)) = queue.pop_front() {
-        if d == k {
-            continue;
-        }
-        for &v in g.neighbors(u as usize) {
-            if !seen[v as usize] {
-                seen[v as usize] = true;
-                out.push(v);
-                queue.push_back((v, d + 1));
-            }
-        }
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -215,66 +132,6 @@ mod tests {
         assert_eq!(t.hops, vec![0, 1, 1, 2]);
         let p3 = t.parent[3];
         assert!(p3 == 1 || p3 == 2);
-    }
-
-    #[test]
-    fn multi_source_takes_nearest() {
-        let g = two_paths();
-        let h = multi_source_bfs_hops(&g, &[0, 3]);
-        assert_eq!(&h[..4], &[0, 1, 1, 0]);
-        assert_eq!(h[4], UNREACHABLE);
-        // Empty source list: everything unreachable.
-        let h2 = multi_source_bfs_hops(&g, &[]);
-        assert!(h2.iter().all(|&x| x == UNREACHABLE));
-        // Duplicate sources are harmless.
-        let h3 = multi_source_bfs_hops(&g, &[0, 0, 0]);
-        assert_eq!(&h3[..4], &[0, 1, 2, 3]);
-    }
-
-    #[test]
-    fn khop_counts_on_path() {
-        let g = two_paths();
-        let k1 = khop_counts(&g, 1);
-        assert_eq!(k1, vec![1, 2, 2, 1, 1, 1]);
-        let k2 = khop_counts(&g, 2);
-        assert_eq!(k2, vec![2, 3, 3, 2, 1, 1]);
-        let k0 = khop_counts(&g, 0);
-        assert_eq!(k0, vec![0; 6]);
-    }
-
-    #[test]
-    fn khop_neighborhood_members() {
-        let g = two_paths();
-        let mut n2 = khop_neighborhood(&g, 0, 2);
-        n2.sort_unstable();
-        assert_eq!(n2, vec![1, 2]);
-        assert!(khop_neighborhood(&g, 4, 0).is_empty());
-    }
-
-    #[test]
-    fn khop_counts_match_neighborhood_sizes() {
-        let g = Csr::from_edges(
-            7,
-            &[
-                (0, 1, 1.0),
-                (0, 2, 1.0),
-                (1, 3, 1.0),
-                (2, 3, 1.0),
-                (3, 4, 1.0),
-                (5, 6, 1.0),
-            ],
-        );
-        for k in 0..4 {
-            let counts = khop_counts(&g, k);
-            #[allow(clippy::needless_range_loop)]
-            for v in 0..7 {
-                assert_eq!(
-                    counts[v] as usize,
-                    khop_neighborhood(&g, v, k).len(),
-                    "node {v}, k {k}"
-                );
-            }
-        }
     }
 
     #[test]

@@ -35,13 +35,6 @@ use std::sync::atomic::{self, AtomicBool};
 /// thread count.
 const ROW_BLOCK: usize = 2048;
 
-/// Builds the unit-disk graph over `points` with range `range`; edge weights
-/// are Euclidean distances.
-pub fn build_udg(points: &[Point], range: f64) -> Csr {
-    assert_range(range);
-    build_udg_with_grid(points, range, &SpatialGrid::build(points, range))
-}
-
 fn assert_range(range: f64) {
     assert!(
         range > 0.0 && range.is_finite(),
@@ -49,7 +42,8 @@ fn assert_range(range: f64) {
     );
 }
 
-/// [`build_udg`] over a prebuilt grid indexing exactly `points`.
+/// The unit-disk graph over `points` with range `range`, edge weights the
+/// Euclidean distances, from a prebuilt grid indexing exactly `points`.
 fn build_udg_with_grid(points: &[Point], range: f64, grid: &SpatialGrid) -> Csr {
     debug_assert_eq!(grid.len(), points.len(), "grid must index `points`");
     let offsets = row_offsets(points, range, grid);
@@ -259,18 +253,9 @@ impl Network {
     /// `dist² ≤ range²` predicate a linear scan would, so the result is
     /// identical — just `O(local density)` instead of `O(n)`.
     pub fn sensors_within_range_of(&self, p: Point) -> Vec<u32> {
-        let mut near = Vec::new();
-        self.sensors_within_range_of_into(p, &mut near);
+        let mut near = self.grid.neighbors_within(p, self.range);
+        near.sort_unstable();
         near
-    }
-
-    /// [`Network::sensors_within_range_of`] into a caller-owned buffer
-    /// (cleared first). The repair loop issues this query once per stop
-    /// per round; reusing the buffer keeps the steady state off the
-    /// allocator.
-    pub fn sensors_within_range_of_into(&self, p: Point, out: &mut Vec<u32>) {
-        self.grid.neighbors_within_into(p, self.range, out);
-        out.sort_unstable();
     }
 
     /// Returns `true` if the sensor-only graph is connected (vacuously true
@@ -303,8 +288,7 @@ mod tests {
 
     #[test]
     fn udg_edges_respect_range() {
-        let d = line_deployment();
-        let g = build_udg(&d.sensors, 10.0);
+        let g = Network::build(line_deployment(), 10.0).sensor_graph;
         assert!(g.has_edge(0, 1));
         assert!(g.has_edge(1, 2));
         assert!(!g.has_edge(0, 2), "20 m apart > 10 m range");
@@ -316,7 +300,7 @@ mod tests {
     fn udg_matches_brute_force_on_random_field() {
         let d = DeploymentConfig::uniform(150, 200.0).generate(9);
         let r = 30.0;
-        let g = build_udg(&d.sensors, r);
+        let g = Network::build(d.clone(), r).sensor_graph;
         let mut brute = 0usize;
         for i in 0..d.n() {
             for j in (i + 1)..d.n() {
@@ -331,7 +315,7 @@ mod tests {
     #[test]
     fn udg_weights_are_distances() {
         let d = line_deployment();
-        let g = build_udg(&d.sensors, 10.0);
+        let g = Network::build(d.clone(), 10.0).sensor_graph;
         for (u, v, w) in g.edges() {
             let expect = d.sensors[u as usize].dist(d.sensors[v as usize]);
             assert!((w - expect).abs() < 1e-12);

@@ -5,7 +5,6 @@
 pub struct UnionFind {
     parent: Vec<u32>,
     size: Vec<u32>,
-    sets: usize,
 }
 
 impl UnionFind {
@@ -14,7 +13,6 @@ impl UnionFind {
         UnionFind {
             parent: (0..n as u32).collect(),
             size: vec![1; n],
-            sets: n,
         }
     }
 
@@ -26,11 +24,6 @@ impl UnionFind {
     /// Returns `true` if the structure is empty.
     pub fn is_empty(&self) -> bool {
         self.parent.is_empty()
-    }
-
-    /// Number of disjoint sets currently represented.
-    pub fn set_count(&self) -> usize {
-        self.sets
     }
 
     /// Representative of `x`'s set (with path halving).
@@ -54,19 +47,12 @@ impl UnionFind {
         }
         self.parent[rb] = ra as u32;
         self.size[ra] += self.size[rb];
-        self.sets -= 1;
         true
     }
 
     /// Returns `true` if `a` and `b` are in the same set.
     pub fn connected(&mut self, a: usize, b: usize) -> bool {
         self.find(a) == self.find(b)
-    }
-
-    /// Size of the set containing `x`.
-    pub fn size_of(&mut self, x: usize) -> usize {
-        let r = self.find(x);
-        self.size[r] as usize
     }
 }
 
@@ -77,15 +63,12 @@ mod tests {
     #[test]
     fn singletons_then_unions() {
         let mut uf = UnionFind::new(5);
-        assert_eq!(uf.set_count(), 5);
         assert!(!uf.connected(0, 1));
         assert!(uf.union(0, 1));
         assert!(uf.union(1, 2));
         assert!(!uf.union(0, 2), "already connected");
-        assert_eq!(uf.set_count(), 3);
         assert!(uf.connected(0, 2));
-        assert_eq!(uf.size_of(2), 3);
-        assert_eq!(uf.size_of(3), 1);
+        assert!(!uf.connected(2, 3));
     }
 
     #[test]
@@ -94,20 +77,16 @@ mod tests {
         for i in 1..8 {
             uf.union(0, i);
         }
-        assert_eq!(uf.set_count(), 1);
         for i in 0..8 {
             assert!(uf.connected(0, i));
         }
-        assert_eq!(uf.size_of(7), 8);
     }
 
     #[test]
     fn empty_and_single() {
         let uf = UnionFind::new(0);
         assert!(uf.is_empty());
-        assert_eq!(uf.set_count(), 0);
         let mut one = UnionFind::new(1);
         assert_eq!(one.find(0), 0);
-        assert_eq!(one.set_count(), 1);
     }
 }

@@ -1,9 +1,6 @@
 //! Property-based tests for deployments, unit-disk graphs and traversals.
 
-use mdg_net::{
-    bfs_hops, bfs_tree, components, dijkstra, multi_source_bfs_hops, udg::build_udg, Csr,
-    DeploymentConfig, UNREACHABLE,
-};
+use mdg_net::{bfs_hops, bfs_tree, components, DeploymentConfig, Network, UNREACHABLE};
 use proptest::prelude::*;
 
 fn arb_udg() -> impl Strategy<Value = (mdg_net::Deployment, f64)> {
@@ -17,7 +14,7 @@ proptest! {
 
     #[test]
     fn udg_matches_brute_force((dep, range) in arb_udg()) {
-        let g = build_udg(&dep.sensors, range);
+        let g = Network::build(dep.clone(), range).sensor_graph;
         let mut expect = 0usize;
         for i in 0..dep.n() {
             for j in (i + 1)..dep.n() {
@@ -35,7 +32,7 @@ proptest! {
 
     #[test]
     fn bfs_hops_satisfy_edge_relaxation((dep, range) in arb_udg()) {
-        let g = build_udg(&dep.sensors, range);
+        let g = Network::build(dep, range).sensor_graph;
         if g.n() == 0 { return Ok(()); }
         let h = bfs_hops(&g, 0);
         // For every edge (u,v): |h[u] - h[v]| <= 1 when both reachable.
@@ -62,56 +59,8 @@ proptest! {
     }
 
     #[test]
-    fn dijkstra_unit_weights_equal_bfs((dep, range) in arb_udg()) {
-        let g = build_udg(&dep.sensors, range);
-        if g.n() == 0 { return Ok(()); }
-        let unit = Csr::from_edges(
-            g.n(),
-            &g.edges().map(|(u, v, _)| (u, v, 1.0)).collect::<Vec<_>>(),
-        );
-        let h = bfs_hops(&g, 0);
-        let d = dijkstra(&unit, 0);
-        #[allow(clippy::needless_range_loop)]
-        for v in 0..g.n() {
-            if h[v] == UNREACHABLE {
-                prop_assert!(d.dist[v].is_infinite());
-            } else {
-                prop_assert_eq!(d.dist[v] as u32, h[v]);
-            }
-        }
-    }
-
-    #[test]
-    fn dijkstra_respects_triangle_inequality_on_edges((dep, range) in arb_udg()) {
-        let g = build_udg(&dep.sensors, range);
-        if g.n() == 0 { return Ok(()); }
-        let d = dijkstra(&g, 0);
-        for (u, v, w) in g.edges() {
-            let (du, dv) = (d.dist[u as usize], d.dist[v as usize]);
-            if du.is_finite() && dv.is_finite() {
-                prop_assert!(dv <= du + w + 1e-9);
-                prop_assert!(du <= dv + w + 1e-9);
-            }
-        }
-    }
-
-    #[test]
-    fn multi_source_is_min_of_single_sources((dep, range) in arb_udg()) {
-        let g = build_udg(&dep.sensors, range);
-        if g.n() < 3 { return Ok(()); }
-        let sources = [0usize, g.n() / 2, g.n() - 1];
-        let multi = multi_source_bfs_hops(&g, &sources);
-        let singles: Vec<Vec<u32>> = sources.iter().map(|&s| bfs_hops(&g, s)).collect();
-        #[allow(clippy::needless_range_loop)]
-        for v in 0..g.n() {
-            let want = singles.iter().map(|h| h[v]).min().unwrap();
-            prop_assert_eq!(multi[v], want, "node {}", v);
-        }
-    }
-
-    #[test]
     fn components_are_bfs_reachability_classes((dep, range) in arb_udg()) {
-        let g = build_udg(&dep.sensors, range);
+        let g = Network::build(dep, range).sensor_graph;
         let (_, labels) = components(&g);
         if g.n() == 0 { return Ok(()); }
         let h = bfs_hops(&g, 0);

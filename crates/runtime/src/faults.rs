@@ -49,6 +49,12 @@ pub struct FaultConfig {
     pub slowdown: Option<Slowdown>,
 }
 
+/// Largest accepted [`FaultConfig::backoff_secs`], about 31 700 years. A
+/// retry waits at most 64× this, so a round's waits stay finite for any
+/// retry budget and sensor count that fit in memory, where a base near
+/// `f64::MAX` makes the curve infinite.
+const MAX_BACKOFF_SECS: f64 = 1e12;
+
 impl Default for FaultConfig {
     fn default() -> Self {
         FaultConfig {
@@ -64,38 +70,57 @@ impl Default for FaultConfig {
 }
 
 impl FaultConfig {
-    /// Validates parameter sanity.
-    ///
-    /// # Panics
-    /// Panics on rates outside `[0, 1]`, negative times, or a
-    /// non-positive slowdown factor.
-    pub fn validate(&self) {
-        assert!(
-            (0.0..=1.0).contains(&self.death_rate),
-            "death rate must be in [0, 1]"
-        );
-        assert!(
-            (0.0..=1.0).contains(&self.loss_rate),
-            "loss rate must be in [0, 1]"
-        );
-        assert!(self.death_horizon_secs >= 0.0, "death horizon must be ≥ 0");
-        assert!(self.backoff_secs >= 0.0, "backoff must be ≥ 0");
-        if let Some(s) = self.slowdown {
-            assert!(
-                s.start_secs >= 0.0 && s.duration_secs >= 0.0,
-                "slowdown window"
-            );
-            assert!(
-                s.factor > 0.0 && s.factor <= 1.0,
-                "slowdown factor must be in (0, 1]"
-            );
+    /// Checks parameter sanity: rates in `[0, 1]`, a finite non-negative
+    /// death horizon, a backoff in `[0, MAX_BACKOFF_SECS]`, and a
+    /// slowdown window with non-negative times and a factor in `(0, 1]`.
+    pub fn validate(&self) -> Result<(), String> {
+        if !(0.0..=1.0).contains(&self.death_rate) {
+            return Err(format!(
+                "death rate must be in [0, 1], got {:?}",
+                self.death_rate
+            ));
         }
+        if !(0.0..=1.0).contains(&self.loss_rate) {
+            return Err(format!(
+                "loss rate must be in [0, 1], got {:?}",
+                self.loss_rate
+            ));
+        }
+        if !(self.death_horizon_secs.is_finite() && self.death_horizon_secs >= 0.0) {
+            return Err(format!(
+                "death horizon must be finite and ≥ 0, got {:?}",
+                self.death_horizon_secs
+            ));
+        }
+        if !(0.0..=MAX_BACKOFF_SECS).contains(&self.backoff_secs) {
+            return Err(format!(
+                "backoff must be in [0, {MAX_BACKOFF_SECS:e}] s, got {:?}",
+                self.backoff_secs
+            ));
+        }
+        if let Some(s) = self.slowdown {
+            if !(s.start_secs >= 0.0 && s.duration_secs >= 0.0) {
+                return Err("slowdown window times must be ≥ 0".into());
+            }
+            if !(s.factor > 0.0 && s.factor <= 1.0) {
+                return Err(format!(
+                    "slowdown factor must be in (0, 1], got {:?}",
+                    s.factor
+                ));
+            }
+        }
+        Ok(())
     }
 
     /// Materializes the fault plan for `n` sensors: victims and death
     /// times are drawn once, here, from `seed`.
+    ///
+    /// # Panics
+    /// Panics if [`FaultConfig::validate`] rejects the config.
     pub fn plan(&self, n: usize) -> FaultPlan {
-        self.validate();
+        if let Err(e) = self.validate() {
+            panic!("invalid fault config: {e}");
+        }
         let mut rng = StdRng::seed_from_u64(self.seed);
         let n_deaths = ((self.death_rate * n as f64).round() as usize).min(n);
         // Partial Fisher–Yates: the first `n_deaths` entries are a uniform

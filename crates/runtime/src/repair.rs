@@ -26,7 +26,7 @@
 use mdg_core::{GatheringPlan, PlannerConfig, PollingPoint, ShdgPlanner, UNASSIGNED};
 use mdg_cover::{greedy_cover_restricted, CoverageInstance};
 use mdg_net::Network;
-use mdg_tour::{cheapest_insertion_position, improve, ImproveConfig, MatrixCost, Tour};
+use mdg_tour::{cheapest_insertion_position, improve, MatrixCost, Tour};
 use serde::{Deserialize, Serialize};
 
 /// Repair tuning knobs.
@@ -245,14 +245,7 @@ pub fn repair_plan(
     if cfg.improve_passes > 0 && plan.n_polling_points() >= 3 {
         let pts = plan.tour_positions();
         let cost = MatrixCost::from_points(&pts);
-        let tour = improve(
-            &cost,
-            Tour::identity(pts.len()),
-            &ImproveConfig {
-                max_passes: cfg.improve_passes,
-                ..ImproveConfig::default()
-            },
-        );
+        let tour = improve(&cost, Tour::identity(pts.len()), cfg.improve_passes);
         report.ops += (pts.len() * pts.len()) as u64 * cfg.improve_passes as u64;
         let order = tour.into_order();
         debug_assert_eq!(order[0], 0, "normalized tours lead with the depot");

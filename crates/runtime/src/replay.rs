@@ -67,8 +67,11 @@
 //! assert!(result.counterfactual.drops >= result.original.drops);
 //! ```
 
+use crate::faults::FaultConfig;
 use crate::runtime::{GatheringRuntime, RepairPolicy, RuntimeConfig};
-use crate::trace::{ReplayManifest, RoundRecord, TraceBundle, TraceWriter, TRACE_VERSION};
+use crate::trace::{
+    ReplayManifest, RoundRecord, TopologyManifest, TraceBundle, TraceWriter, TRACE_VERSION,
+};
 use mdg_core::{GatheringPlan, ShdgPlanner};
 use mdg_net::Network;
 use serde::{Deserialize, Serialize};
@@ -201,11 +204,12 @@ impl PolicyOverrides {
                 self.max_retries = Some(v as u32);
             }
             "backoff_secs" => {
-                if !(value.is_finite() && value >= 0.0) {
-                    return Err(ReplayError::BadValue(format!(
-                        "backoff_secs must be a finite non-negative number, got {value}"
-                    )));
+                FaultConfig {
+                    backoff_secs: value,
+                    ..FaultConfig::default()
                 }
+                .validate()
+                .map_err(ReplayError::BadValue)?;
                 self.backoff_secs = Some(value);
             }
             "replan_threshold" => {
@@ -489,9 +493,40 @@ pub struct ReplayEngine {
     plan: GatheringPlan,
 }
 
+/// Checks a manifest read from a trace file before it reaches the
+/// library's asserts: a positive finite range and field side, finite
+/// explicit positions, a finite non-negative battery, and the fault and
+/// simulation configs' own rules.
+fn check_manifest(m: &ReplayManifest) -> Result<(), String> {
+    if !(m.range.is_finite() && m.range > 0.0) {
+        return Err(format!("range must be positive, got {:?}", m.range));
+    }
+    match &m.topology {
+        TopologyManifest::Uniform { side, .. } => {
+            if !(side.is_finite() && *side > 0.0) {
+                return Err(format!("field side must be positive, got {side:?}"));
+            }
+        }
+        TopologyManifest::Explicit { deployment } => {
+            let mut points = deployment.sensors.iter().chain([&deployment.sink]);
+            if let Some(p) = points.find(|p| !p.is_finite()) {
+                return Err(format!("position {p:?} is not finite"));
+            }
+        }
+    }
+    if let Some(b) = m.config.battery_j {
+        if !(b.is_finite() && b >= 0.0) {
+            return Err(format!("battery must be finite and ≥ 0 J, got {b:?}"));
+        }
+    }
+    m.config.faults.validate()?;
+    m.config.sim.validate()
+}
+
 impl ReplayEngine {
     /// Builds the engine from a parsed bundle. Fails with a clear error
-    /// on legacy headerless traces and on headers without a manifest.
+    /// on legacy headerless traces, on headers without a manifest, and on
+    /// a manifest whose values the runtime would reject.
     pub fn from_bundle(bundle: &TraceBundle) -> Result<Self, ReplayError> {
         let header = bundle.header.as_ref().ok_or(ReplayError::MissingHeader)?;
         let manifest = header
@@ -499,6 +534,7 @@ impl ReplayEngine {
             .as_ref()
             .ok_or(ReplayError::MissingManifest)?
             .clone();
+        check_manifest(&manifest).map_err(ReplayError::Plan)?;
         let _sp = mdg_obs::span("replay/build");
         let net = manifest.network();
         let plan = ShdgPlanner::new()

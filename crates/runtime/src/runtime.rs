@@ -121,15 +121,6 @@ impl RuntimeReport {
             self.delivered as f64 / self.expected as f64
         }
     }
-
-    /// Mean orphaned time per (sensor, round) incident, seconds.
-    pub fn mean_orphan_secs(&self) -> f64 {
-        if self.orphan_sensor_rounds == 0 {
-            0.0
-        } else {
-            self.orphan_secs / self.orphan_sensor_rounds as f64
-        }
-    }
 }
 
 /// The online gathering runtime: owns the evolving plan and network state.

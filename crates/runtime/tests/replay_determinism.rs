@@ -159,3 +159,49 @@ fn sweep_bound_is_twenty_values() {
         Err(ReplayError::TooManyValues(21))
     ));
 }
+
+/// A trace is a file from outside the program: a header value the runtime
+/// would reject is a `ReplayError`, not a panic, and so is a backoff
+/// override whose 64× retry wait would overflow to infinity.
+#[test]
+fn out_of_range_manifest_values_are_errors_not_panics() {
+    let text = record(7);
+    let (header, records) = text.split_once('\n').unwrap();
+    for (field, bad, expect) in [
+        ("\"loss_rate\":0.2", "\"loss_rate\":2.0", "loss rate"),
+        (
+            "\"death_horizon_secs\":2500.0",
+            "\"death_horizon_secs\":-1.0",
+            "death horizon",
+        ),
+        ("\"speed_mps\":1.0", "\"speed_mps\":0.0", "speed"),
+        ("\"upload_secs\":0.5", "\"upload_secs\":-1.0", "upload time"),
+        ("\"range\":30.0", "\"range\":-1.0", "range"),
+        ("\"side\":180.0", "\"side\":-5.0", "side"),
+        ("\"backoff_secs\":0.2", "\"backoff_secs\":1e308", "backoff"),
+        ("\"battery_j\":null", "\"battery_j\":-1.0", "battery"),
+    ] {
+        assert_eq!(header.matches(field).count(), 1, "{field} in {header}");
+        let edited = format!("{}\n{records}", header.replace(field, bad));
+        let bundle = parse_bundle(&edited).unwrap();
+        match ReplayEngine::from_bundle(&bundle) {
+            Err(ReplayError::Plan(msg)) => assert!(msg.contains(expect), "{bad}: {msg}"),
+            Err(other) => panic!("{bad}: unexpected error {other}"),
+            Ok(_) => panic!("{bad}: the manifest was accepted"),
+        }
+    }
+    // `mdg replay --backoff` and `--sweep backoff_secs=…` set the knob.
+    let mut overrides = PolicyOverrides::default();
+    assert!(matches!(
+        overrides.set("backoff_secs", 1e308),
+        Err(ReplayError::BadValue(_))
+    ));
+    assert!(matches!(
+        SweepSpec::parse("backoff_secs=0.5,1e308"),
+        Err(ReplayError::BadValue(_))
+    ));
+    assert!(
+        overrides.set("backoff_secs", 1e12).is_ok(),
+        "the bound itself"
+    );
+}

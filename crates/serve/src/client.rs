@@ -9,7 +9,6 @@ use mdg_geom::Point;
 use serde::{Deserialize, Deserializer};
 use std::io::{self, BufReader, BufWriter};
 use std::net::{TcpStream, ToSocketAddrs};
-use std::time::Duration;
 
 /// Result of a request: the server answered (`Ok`) with either the parsed
 /// success payload or a structured error body, or transport failed (`Err`).
@@ -35,13 +34,6 @@ impl Client {
             writer: BufWriter::new(stream),
             max_line_bytes: 64 << 20,
         })
-    }
-
-    /// Sets both socket timeouts (None = block forever).
-    pub fn set_timeout(&mut self, timeout: Option<Duration>) -> io::Result<()> {
-        let stream = self.reader.get_ref();
-        stream.set_read_timeout(timeout)?;
-        stream.set_write_timeout(timeout)
     }
 
     /// Sends one raw request line (no trailing newline needed) and returns

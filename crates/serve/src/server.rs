@@ -298,11 +298,6 @@ impl Server {
         self.shared.shutdown.store(true, Ordering::SeqCst);
     }
 
-    /// Whether shutdown has been requested (by handle or by request).
-    pub fn is_shutting_down(&self) -> bool {
-        self.shared.shutdown.load(Ordering::SeqCst)
-    }
-
     /// Waits until the accept loop has exited and in-flight connections
     /// have drained (bounded by [`ServeConfig::drain_timeout`]).
     pub fn join(mut self) {

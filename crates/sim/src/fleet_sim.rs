@@ -1,4 +1,5 @@
-//! Simulation of multi-collector (fleet) rounds.
+//! Simulation of multi-collector (fleet) rounds: the DES check of
+//! `plan_fleet`'s closed-form makespans, built for the tests only.
 //!
 //! All collectors depart the sink simultaneously, each driving its own
 //! sub-tour; the round completes when the slowest returns. Each
@@ -15,22 +16,22 @@ use mdg_geom::Point;
 
 /// Outcome of one fleet round.
 #[derive(Debug, Clone)]
-pub struct FleetRoundReport {
+struct FleetRoundReport {
     /// Per-collector round reports, in fleet order.
-    pub per_collector: Vec<RoundReport>,
+    per_collector: Vec<RoundReport>,
     /// Makespan: the slowest collector's round duration.
-    pub duration_secs: f64,
+    duration_secs: f64,
     /// Combined per-sensor energy ledger.
-    pub ledger: EnergyLedger,
+    ledger: EnergyLedger,
     /// Total packets collected by the whole fleet.
-    pub packets_delivered: usize,
+    packets_delivered: usize,
     /// Total packets expected (one per alive sensor).
-    pub packets_expected: usize,
+    packets_expected: usize,
 }
 
 impl FleetRoundReport {
     /// Delivery ratio across the fleet.
-    pub fn delivery_ratio(&self) -> f64 {
+    fn delivery_ratio(&self) -> f64 {
         if self.packets_expected == 0 {
             1.0
         } else {
@@ -72,7 +73,7 @@ fn collector_scenario(
 /// # Panics
 /// Panics if the fleet does not partition the plan's polling points
 /// (validate it first).
-pub fn simulate_fleet_round(
+fn simulate_fleet_round(
     plan: &GatheringPlan,
     fleet: &FleetPlan,
     sensors: &[Point],

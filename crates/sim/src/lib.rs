@@ -23,8 +23,8 @@
 //! magnitude faster than the collector, the paper's premise).
 
 pub mod bridge;
-pub mod collector;
-pub mod fleet_sim;
+#[cfg(test)]
+mod fleet_sim;
 pub mod hooks;
 pub mod lifetime;
 pub mod mobile;
@@ -33,8 +33,6 @@ pub mod queue;
 pub mod report;
 
 pub use bridge::scenario_from_plan;
-pub use collector::Trajectory;
-pub use fleet_sim::{simulate_fleet_round, FleetRoundReport};
 pub use hooks::{NoFaults, RoundHooks, SimEvent};
 pub use lifetime::{simulate_lifetime, LifetimeReport, RoundScheme};
 pub use mobile::{MobileGatheringSim, MobileScenario, Stop, Upload};
@@ -70,14 +68,28 @@ impl Default for SimConfig {
 }
 
 impl SimConfig {
-    /// Validates parameter sanity.
-    ///
-    /// # Panics
-    /// Panics on non-positive speed or negative delays.
-    pub fn validate(&self) {
-        assert!(self.speed_mps > 0.0, "collector speed must be positive");
-        assert!(self.upload_secs >= 0.0, "upload time must be non-negative");
-        assert!(self.hop_secs >= 0.0, "hop delay must be non-negative");
+    /// Checks parameter sanity: a finite positive speed and finite
+    /// non-negative delays.
+    pub fn validate(&self) -> Result<(), String> {
+        if !(self.speed_mps.is_finite() && self.speed_mps > 0.0) {
+            return Err(format!(
+                "collector speed must be positive, got {:?}",
+                self.speed_mps
+            ));
+        }
+        if !(self.upload_secs.is_finite() && self.upload_secs >= 0.0) {
+            return Err(format!(
+                "upload time must be non-negative, got {:?}",
+                self.upload_secs
+            ));
+        }
+        if !(self.hop_secs.is_finite() && self.hop_secs >= 0.0) {
+            return Err(format!(
+                "hop delay must be non-negative, got {:?}",
+                self.hop_secs
+            ));
+        }
+        Ok(())
     }
 }
 
@@ -87,16 +99,17 @@ mod tests {
 
     #[test]
     fn default_config_is_valid() {
-        SimConfig::default().validate();
+        assert_eq!(SimConfig::default().validate(), Ok(()));
     }
 
     #[test]
-    #[should_panic(expected = "speed")]
     fn zero_speed_rejected() {
-        SimConfig {
+        let err = SimConfig {
             speed_mps: 0.0,
             ..SimConfig::default()
         }
-        .validate();
+        .validate()
+        .unwrap_err();
+        assert!(err.contains("speed"), "{err}");
     }
 }

@@ -122,7 +122,9 @@ impl MobileGatheringSim {
     /// # Panics
     /// Panics if the scenario or config is invalid.
     pub fn new(scenario: MobileScenario, config: SimConfig) -> Self {
-        config.validate();
+        if let Err(e) = config.validate() {
+            panic!("invalid sim config: {e}");
+        }
         if let Err(e) = scenario.validate() {
             panic!("invalid scenario: {e}");
         }

@@ -25,8 +25,13 @@ pub struct MultihopRoutingSim {
 impl MultihopRoutingSim {
     /// Builds the simulator from a network (uses the graph that includes
     /// the sink).
+    ///
+    /// # Panics
+    /// Panics if [`SimConfig::validate`] rejects `config`.
     pub fn new(net: &Network, config: SimConfig) -> Self {
-        config.validate();
+        if let Err(e) = config.validate() {
+            panic!("invalid sim config: {e}");
+        }
         let mut positions = net.deployment.sensors.clone();
         positions.push(net.deployment.sink);
         MultihopRoutingSim {

@@ -41,72 +41,6 @@ pub fn nearest_neighbor<C: CostMatrix>(cost: &C) -> Tour {
     Tour::from_order_unchecked(order)
 }
 
-/// Greedy-edge construction: sort all edges by cost and add an edge
-/// whenever both endpoints have degree < 2 and it does not close a
-/// premature cycle. `O(n² log n)`.
-pub fn greedy_edge<C: CostMatrix>(cost: &C) -> Tour {
-    let n = cost.n();
-    if n <= 2 {
-        return Tour::identity(n);
-    }
-    let mut edges: Vec<(f64, u32, u32)> = Vec::with_capacity(n * (n - 1) / 2);
-    for i in 0..n {
-        for j in (i + 1)..n {
-            edges.push((cost.cost(i, j), i as u32, j as u32));
-        }
-    }
-    edges.sort_by(|a, b| a.0.partial_cmp(&b.0).unwrap());
-
-    let mut degree = vec![0u8; n];
-    let mut parent: Vec<u32> = (0..n as u32).collect();
-    fn find(parent: &mut [u32], mut x: u32) -> u32 {
-        while parent[x as usize] != x {
-            parent[x as usize] = parent[parent[x as usize] as usize];
-            x = parent[x as usize];
-        }
-        x
-    }
-    let mut adj: Vec<[u32; 2]> = vec![[u32::MAX; 2]; n];
-    let mut added = 0usize;
-    for (_, u, v) in edges {
-        if added == n {
-            break;
-        }
-        let (ui, vi) = (u as usize, v as usize);
-        if degree[ui] >= 2 || degree[vi] >= 2 {
-            continue;
-        }
-        let (ru, rv) = (find(&mut parent, u), find(&mut parent, v));
-        // Allow the cycle-closing edge only as the very last one.
-        if ru == rv && added != n - 1 {
-            continue;
-        }
-        parent[ru as usize] = rv;
-        adj[ui][degree[ui] as usize] = v;
-        adj[vi][degree[vi] as usize] = u;
-        degree[ui] += 1;
-        degree[vi] += 1;
-        added += 1;
-    }
-    debug_assert_eq!(added, n, "greedy edge must complete a Hamiltonian cycle");
-
-    // Walk the cycle starting at the depot.
-    let mut order = Vec::with_capacity(n);
-    let mut prev = u32::MAX;
-    let mut cur = 0u32;
-    for _ in 0..n {
-        order.push(cur as usize);
-        let next = if adj[cur as usize][0] != prev {
-            adj[cur as usize][0]
-        } else {
-            adj[cur as usize][1]
-        };
-        prev = cur;
-        cur = next;
-    }
-    Tour::from_order_unchecked(order)
-}
-
 /// Cheapest-insertion construction: start from the depot and its nearest
 /// city; repeatedly insert the city with the cheapest insertion delta at
 /// its best position. `O(n²)` expected via incremental best-position
@@ -416,7 +350,7 @@ pub fn christofides_like<C: CostMatrix>(cost: &C) -> Tour {
 mod tests {
     use super::*;
     use crate::cost::{EuclideanCost, MatrixCost};
-    use mdg_geom::{DistMatrix, Point};
+    use mdg_geom::Point;
 
     fn ring(n: usize, radius: f64) -> Vec<Point> {
         (0..n)
@@ -448,7 +382,6 @@ mod tests {
         let cost = MatrixCost::from_points(&pts);
         for (name, t) in [
             ("nn", nearest_neighbor(&cost)),
-            ("greedy", greedy_edge(&cost)),
             ("ci", cheapest_insertion(&cost)),
             ("mst", mst_2approx(&cost)),
             ("christo", christofides_like(&cost)),
@@ -466,7 +399,6 @@ mod tests {
         let opt = Tour::identity(12).length(&cost);
         for t in [
             nearest_neighbor(&cost),
-            greedy_edge(&cost),
             cheapest_insertion(&cost),
             christofides_like(&cost),
         ] {
@@ -499,7 +431,6 @@ mod tests {
         assert_eq!(cheapest_insertion(&cost).order()[0], 0);
         assert_eq!(mst_2approx(&cost).order()[0], 0);
         assert_eq!(christofides_like(&cost).order()[0], 0);
-        assert_eq!(greedy_edge(&cost).order()[0], 0);
     }
 
     #[test]
@@ -509,7 +440,6 @@ mod tests {
             let cost = EuclideanCost::new(&pts);
             for t in [
                 nearest_neighbor(&cost),
-                greedy_edge(&cost),
                 cheapest_insertion(&cost),
                 mst_2approx(&cost),
                 christofides_like(&cost),
@@ -541,15 +471,14 @@ mod tests {
 
     #[test]
     fn matrix_and_euclidean_costs_give_the_same_tours() {
-        use crate::improve::{improve, ImproveConfig};
+        use crate::improve::improve;
         for (k, pts) in random_fields().enumerate() {
             let (dense, direct) = (MatrixCost::from_points(&pts), EuclideanCost::new(&pts));
             let (t_dense, t_direct) = (cheapest_insertion(&dense), cheapest_insertion(&direct));
             assert_eq!(t_dense.order(), t_direct.order(), "field {k}: insertion");
-            let cfg = ImproveConfig::default();
             assert_eq!(
-                improve(&dense, t_dense, &cfg).order(),
-                improve(&direct, t_direct, &cfg).order(),
+                improve(&dense, t_dense, 64).order(),
+                improve(&direct, t_direct, 64).order(),
                 "field {k}: polish"
             );
         }
@@ -561,14 +490,28 @@ mod tests {
         // cached edge (5, 1) is split. The new edge (5, 3) ties its old
         // delta 2, and so does the surviving edge (2, 5), which comes
         // first in the tour: the rescan puts 4 after 2, not after 5.
-        let upper: [&[f64]; 5] = [
+        /// Row `i` holds the costs from city `i` to cities `i + 1..6`.
+        struct Upper([&'static [f64]; 5]);
+        impl CostMatrix for Upper {
+            fn n(&self) -> usize {
+                6
+            }
+            fn cost(&self, i: usize, j: usize) -> f64 {
+                let (i, j) = (i.min(j), i.max(j));
+                if i == j {
+                    0.0
+                } else {
+                    self.0[i][j - i - 1]
+                }
+            }
+        }
+        let cost = Upper([
             &[1.0, 1.0, 2.0, 2.0, 1.0],
             &[2.0, 1.0, 1.0, 1.0],
             &[2.0, 2.0, 2.0],
             &[2.0, 2.0],
             &[2.0],
-        ];
-        let cost = MatrixCost::from_matrix(DistMatrix::from_fn(6, |i, j| upper[i][j - i - 1]));
+        ]);
         assert_eq!(cheapest_insertion(&cost).order(), &[0, 1, 3, 5, 4, 2]);
     }
 

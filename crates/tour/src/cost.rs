@@ -58,11 +58,6 @@ impl MatrixCost {
             matrix: DistMatrix::from_points(points),
         }
     }
-
-    /// Wraps an existing distance matrix.
-    pub fn from_matrix(matrix: DistMatrix) -> Self {
-        MatrixCost { matrix }
-    }
 }
 
 impl CostMatrix for MatrixCost {

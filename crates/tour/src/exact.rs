@@ -92,56 +92,57 @@ pub fn held_karp<C: CostMatrix>(cost: &C) -> (Tour, f64) {
     (Tour::from_order_unchecked(order_rev).normalized(), best_len)
 }
 
-/// Brute-force optimal tour by permutation enumeration; `O((n−1)!)`.
-/// Only usable for `n ≤ 10`; provided as an oracle for tests.
-pub fn brute_force<C: CostMatrix>(cost: &C) -> (Tour, f64) {
-    let n = cost.n();
-    assert!(n <= 10, "brute force limited to 10 cities");
-    if n <= 2 {
-        let t = Tour::identity(n);
-        let len = t.length(cost);
-        return (t, len);
-    }
-    let mut perm: Vec<usize> = (1..n).collect();
-    let mut best_order: Vec<usize> = std::iter::once(0).chain(perm.iter().copied()).collect();
-    let mut best_len = Tour::from_order_unchecked(best_order.clone()).length(cost);
-    // Heap's algorithm over the non-depot cities.
-    let mut c = vec![0usize; perm.len()];
-    let mut i = 0;
-    while i < perm.len() {
-        if c[i] < i {
-            if i % 2 == 0 {
-                perm.swap(0, i);
-            } else {
-                perm.swap(c[i], i);
-            }
-            let order: Vec<usize> = std::iter::once(0).chain(perm.iter().copied()).collect();
-            let len = Tour::from_order_unchecked(order.clone()).length(cost);
-            if len < best_len {
-                best_len = len;
-                best_order = order;
-            }
-            c[i] += 1;
-            i = 0;
-        } else {
-            c[i] = 0;
-            i += 1;
-        }
-    }
-    (
-        Tour::from_order_unchecked(best_order).normalized(),
-        best_len,
-    )
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::construct::{cheapest_insertion, mst_2approx, nearest_neighbor};
     use crate::cost::MatrixCost;
-    use crate::improve::{improve, ImproveConfig};
+    use crate::improve::improve;
     use mdg_geom::Point;
+    use proptest::prelude::*;
     use rand::{Rng, SeedableRng};
+
+    /// Brute-force optimal tour by permutation enumeration; `O((n−1)!)`.
+    /// Only usable for `n ≤ 10`: the oracle the tests hold [`held_karp`] to.
+    fn brute_force<C: CostMatrix>(cost: &C) -> (Tour, f64) {
+        let n = cost.n();
+        assert!(n <= 10, "brute force limited to 10 cities");
+        if n <= 2 {
+            let t = Tour::identity(n);
+            let len = t.length(cost);
+            return (t, len);
+        }
+        let mut perm: Vec<usize> = (1..n).collect();
+        let mut best_order: Vec<usize> = std::iter::once(0).chain(perm.iter().copied()).collect();
+        let mut best_len = Tour::from_order_unchecked(best_order.clone()).length(cost);
+        // Heap's algorithm over the non-depot cities.
+        let mut c = vec![0usize; perm.len()];
+        let mut i = 0;
+        while i < perm.len() {
+            if c[i] < i {
+                if i % 2 == 0 {
+                    perm.swap(0, i);
+                } else {
+                    perm.swap(c[i], i);
+                }
+                let order: Vec<usize> = std::iter::once(0).chain(perm.iter().copied()).collect();
+                let len = Tour::from_order_unchecked(order.clone()).length(cost);
+                if len < best_len {
+                    best_len = len;
+                    best_order = order;
+                }
+                c[i] += 1;
+                i = 0;
+            } else {
+                c[i] = 0;
+                i += 1;
+            }
+        }
+        (
+            Tour::from_order_unchecked(best_order).normalized(),
+            best_len,
+        )
+    }
 
     fn random_points(n: usize, seed: u64) -> Vec<Point> {
         let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
@@ -189,7 +190,7 @@ mod tests {
             // 2-approximation bound holds against the true optimum.
             assert!(mst_2approx(&cost).length(&cost) <= 2.0 * opt + 1e-9);
             // Polished heuristic lands close to the optimum on tiny inputs.
-            let polished = improve(&cost, nearest_neighbor(&cost), &ImproveConfig::default());
+            let polished = improve(&cost, nearest_neighbor(&cost), 64);
             assert!(polished.length(&cost) <= 1.15 * opt + 1e-9, "seed {seed}");
         }
     }
@@ -227,5 +228,20 @@ mod tests {
         let pts = random_points(HELD_KARP_MAX + 1, 0);
         let cost = MatrixCost::from_points(&pts);
         held_karp(&cost);
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        #[test]
+        fn held_karp_is_optimal_vs_brute_force(
+            pts in proptest::collection::vec((0.0..500.0f64, 0.0..500.0f64), 4..8),
+        ) {
+            let pts: Vec<Point> = pts.into_iter().map(|(x, y)| Point::new(x, y)).collect();
+            let cost = MatrixCost::from_points(&pts);
+            let (_, hk) = held_karp(&cost);
+            let (_, bf) = brute_force(&cost);
+            prop_assert!((hk - bf).abs() < 1e-9);
+        }
     }
 }

@@ -3,28 +3,12 @@
 use crate::cost::CostMatrix;
 use crate::tour::Tour;
 
-/// Limits for the improvement loop.
-#[derive(Debug, Clone, Copy)]
-pub struct ImproveConfig {
-    /// Maximum full passes of each operator (safety valve; local optima are
-    /// normally reached much earlier).
-    pub max_passes: usize,
-    /// Minimum improvement per move; moves below this are treated as noise
-    /// and rejected, guaranteeing termination despite floating point.
-    pub min_gain: f64,
-    /// Maximum Or-opt segment length to relocate.
-    pub max_segment: usize,
-}
+/// Minimum improvement per move; moves below this are treated as noise
+/// and rejected, guaranteeing termination despite floating point.
+pub(crate) const MIN_GAIN: f64 = 1e-9;
 
-impl Default for ImproveConfig {
-    fn default() -> Self {
-        ImproveConfig {
-            max_passes: 64,
-            min_gain: 1e-9,
-            max_segment: 3,
-        }
-    }
-}
+/// Longest segment Or-opt relocates.
+pub(crate) const MAX_SEGMENT: usize = 3;
 
 /// One first-improvement 2-opt pass; returns the total gain.
 ///
@@ -42,7 +26,7 @@ impl Default for ImproveConfig {
 /// per remaining edge — a few microseconds even on a 1 500-stop tour —
 /// and a hand-off to the `mdg-par` pool costs more than that, so parallel
 /// evaluation made every measured tour size slower.
-fn two_opt_pass<C: CostMatrix>(cost: &C, order: &mut [usize], min_gain: f64) -> f64 {
+fn two_opt_pass<C: CostMatrix>(cost: &C, order: &mut [usize]) -> f64 {
     let n = order.len();
     let mut total_gain = 0.0;
     if n < 4 {
@@ -68,7 +52,7 @@ fn two_opt_pass<C: CostMatrix>(cost: &C, order: &mut [usize], min_gain: f64) -> 
                     let c = order[j];
                     let d = order[(j + 1) % n];
                     let gain = d_ab + cost.cost(c, d) - cost.cost(a, c) - cost.cost(b, d);
-                    (gain > min_gain).then_some((j, gain))
+                    (gain > MIN_GAIN).then_some((j, gain))
                 });
                 let Some((j, gain)) = hit else { break };
                 order[i + 1..=j].reverse();
@@ -86,19 +70,14 @@ fn two_opt_pass<C: CostMatrix>(cost: &C, order: &mut [usize], min_gain: f64) -> 
 /// tour.
 pub fn two_opt<C: CostMatrix>(cost: &C, tour: Tour) -> Tour {
     let mut order = tour.into_order();
-    two_opt_pass(cost, &mut order, ImproveConfig::default().min_gain);
+    two_opt_pass(cost, &mut order);
     Tour::from_order_unchecked(order).normalized()
 }
 
-/// One Or-opt pass: relocates segments of length `1..=max_segment` to a
-/// better position (possibly reversed). Returns the total gain. The
+/// One Or-opt pass: relocates segments of length `1..=`[`MAX_SEGMENT`]
+/// to a better position (possibly reversed). Returns the total gain. The
 /// insertion scan stays inline for the reason given on [`two_opt_pass`].
-fn or_opt_pass<C: CostMatrix>(
-    cost: &C,
-    order: &mut Vec<usize>,
-    max_segment: usize,
-    min_gain: f64,
-) -> f64 {
+fn or_opt_pass<C: CostMatrix>(cost: &C, order: &mut Vec<usize>) -> f64 {
     let n = order.len();
     let mut total_gain = 0.0;
     if n < 4 {
@@ -108,7 +87,7 @@ fn or_opt_pass<C: CostMatrix>(
     let mut improved = true;
     while improved {
         improved = false;
-        'moves: for seg_len in 1..=max_segment.min(n.saturating_sub(2)) {
+        'moves: for seg_len in 1..=MAX_SEGMENT.min(n.saturating_sub(2)) {
             for start in 0..n {
                 // Segment occupies positions start..start+seg_len (no wrap
                 // for simplicity; rotations expose wrapped segments across
@@ -125,7 +104,7 @@ fn or_opt_pass<C: CostMatrix>(
                 }
                 let removal_gain =
                     cost.cost(prev, first) + cost.cost(last, next) - cost.cost(prev, next);
-                if removal_gain <= min_gain {
+                if removal_gain <= MIN_GAIN {
                     continue;
                 }
                 // Try reinserting between every other consecutive pair,
@@ -149,7 +128,7 @@ fn or_opt_pass<C: CostMatrix>(
                         (rev, true)
                     };
                     let gain = removal_gain - ins_cost;
-                    (gain > min_gain).then_some((pos, gain, reversed))
+                    (gain > MIN_GAIN).then_some((pos, gain, reversed))
                 });
                 if let Some((pos, gain, reversed)) = hit {
                     // Execute: remove the segment, then insert.
@@ -179,33 +158,26 @@ fn or_opt_pass<C: CostMatrix>(
     total_gain
 }
 
-/// Or-opt local search (segment relocation) until no improving move
-/// remains. Never lengthens the tour.
-pub fn or_opt<C: CostMatrix>(cost: &C, tour: Tour) -> Tour {
-    let mut order = tour.into_order();
-    let cfg = ImproveConfig::default();
-    or_opt_pass(cost, &mut order, cfg.max_segment, cfg.min_gain);
-    Tour::from_order_unchecked(order).normalized()
-}
-
-/// Alternates 2-opt and Or-opt passes until neither improves (or
-/// `max_passes` is hit). The standard polishing step of the planner.
-pub fn improve<C: CostMatrix>(cost: &C, tour: Tour, cfg: &ImproveConfig) -> Tour {
+/// Alternates 2-opt and Or-opt passes until neither improves or
+/// `max_passes` rounds have run (a safety valve; local optima are
+/// normally reached much earlier). The standard polishing step of the
+/// planner.
+pub fn improve<C: CostMatrix>(cost: &C, tour: Tour, max_passes: usize) -> Tour {
     let mut order = tour.into_order();
     let mut sp = mdg_obs::span("improve");
     sp.add_items(order.len() as u64);
-    for _ in 0..cfg.max_passes {
-        let g1 = two_opt_pass(cost, &mut order, cfg.min_gain);
-        let g2 = or_opt_pass(cost, &mut order, cfg.max_segment, cfg.min_gain);
-        if g1 + g2 <= cfg.min_gain {
+    for _ in 0..max_passes {
+        let g1 = two_opt_pass(cost, &mut order);
+        let g2 = or_opt_pass(cost, &mut order);
+        if g1 + g2 <= MIN_GAIN {
             // Local optimum for this rotation. Or-opt skips wrapped
             // segments, so the returned (normalized) rotation could still
             // admit a move; converge on the normalized rotation too so the
             // result is a true fixed point of this function.
             order = Tour::from_order_unchecked(order).normalized().into_order();
-            let g3 = two_opt_pass(cost, &mut order, cfg.min_gain);
-            let g4 = or_opt_pass(cost, &mut order, cfg.max_segment, cfg.min_gain);
-            if g3 + g4 <= cfg.min_gain {
+            let g3 = two_opt_pass(cost, &mut order);
+            let g4 = or_opt_pass(cost, &mut order);
+            if g3 + g4 <= MIN_GAIN {
                 break;
             }
         }
@@ -219,7 +191,16 @@ mod tests {
     use crate::construct::nearest_neighbor;
     use crate::cost::MatrixCost;
     use mdg_geom::Point;
+    use proptest::prelude::*;
     use rand::{Rng, SeedableRng};
+
+    /// Or-opt local search (segment relocation) until no improving move
+    /// remains. Never lengthens the tour.
+    fn or_opt<C: CostMatrix>(cost: &C, tour: Tour) -> Tour {
+        let mut order = tour.into_order();
+        or_opt_pass(cost, &mut order);
+        Tour::from_order_unchecked(order).normalized()
+    }
 
     fn random_points(n: usize, seed: u64) -> Vec<Point> {
         let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
@@ -253,7 +234,7 @@ mod tests {
             assert!(t1.length(&cost) <= len0 + 1e-9, "2-opt (seed {seed})");
             let t2 = or_opt(&cost, t0.clone());
             assert!(t2.length(&cost) <= len0 + 1e-9, "or-opt (seed {seed})");
-            let t3 = improve(&cost, t0, &ImproveConfig::default());
+            let t3 = improve(&cost, t0, 64);
             assert!(
                 t3.length(&cost) <= t1.length(&cost) + 1e-9,
                 "combined ≤ 2-opt"
@@ -265,7 +246,7 @@ mod tests {
     fn improve_preserves_permutation() {
         let pts = random_points(40, 99);
         let cost = MatrixCost::from_points(&pts);
-        let t = improve(&cost, nearest_neighbor(&cost), &ImproveConfig::default());
+        let t = improve(&cost, nearest_neighbor(&cost), 64);
         let mut sorted = t.order().to_vec();
         sorted.sort_unstable();
         assert!(sorted.iter().copied().eq(0..40));
@@ -293,7 +274,7 @@ mod tests {
         let cost = MatrixCost::from_points(&pts);
         let t = Tour::identity(3);
         let len = t.length(&cost);
-        let improved = improve(&cost, t, &ImproveConfig::default());
+        let improved = improve(&cost, t, 64);
         assert!(
             (improved.length(&cost) - len).abs() < 1e-9,
             "n=3 has a unique tour"
@@ -304,9 +285,23 @@ mod tests {
     fn idempotent_at_local_optimum() {
         let pts = random_points(25, 5);
         let cost = MatrixCost::from_points(&pts);
-        let cfg = ImproveConfig::default();
-        let once = improve(&cost, nearest_neighbor(&cost), &cfg);
-        let twice = improve(&cost, once.clone(), &cfg);
+        let once = improve(&cost, nearest_neighbor(&cost), 64);
+        let twice = improve(&cost, once.clone(), 64);
         assert!((twice.length(&cost) - once.length(&cost)).abs() < 1e-9);
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        #[test]
+        fn or_opt_never_worsens(
+            pts in proptest::collection::vec((0.0..500.0f64, 0.0..500.0f64), 4..35),
+        ) {
+            let pts: Vec<Point> = pts.into_iter().map(|(x, y)| Point::new(x, y)).collect();
+            let cost = MatrixCost::from_points(&pts);
+            let base = nearest_neighbor(&cost);
+            let len0 = base.length(&cost);
+            prop_assert!(or_opt(&cost, base).length(&cost) <= len0 + 1e-9);
+        }
     }
 }

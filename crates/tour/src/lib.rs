@@ -8,17 +8,16 @@
 //! The toolbox provides:
 //!
 //! * **Construction heuristics** ([`construct`]): nearest neighbor,
-//!   greedy edge, cheapest insertion, MST double-tree 2-approximation and
-//!   a Christofides-style MST + greedy-matching construction.
+//!   cheapest insertion, MST double-tree 2-approximation and a
+//!   Christofides-style MST + greedy-matching construction.
 //! * **Improvement heuristics** ([`mod@improve`]): 2-opt and Or-opt local
 //!   search, composed by [`improve::improve`]; plus the neighbor-list
 //!   variants ([`neighbors`]) — k-nearest-neighbor candidate moves with
 //!   don't-look bits — that scale the same local search to 10⁵-city
 //!   instances.
-//! * **Exact solvers** ([`exact`]): Held–Karp dynamic programming for up to
+//! * **Exact solver** ([`exact`]): Held–Karp dynamic programming for up to
 //!   [`exact::HELD_KARP_MAX`] cities (used by the optimality-gap tables in
-//!   place of the paper's CPLEX runs) and a brute-force permutation solver
-//!   for cross-checking in tests.
+//!   place of the paper's CPLEX runs).
 //! * **Tour splitting** ([`split`]): partitioning one tour into `k`
 //!   depot-anchored sub-tours (the multi-collector extension), and the
 //!   greedy in-order packing under any fit test (a length bound, or a
@@ -45,18 +44,15 @@ pub mod split;
 pub mod three_opt;
 pub mod tour;
 
-pub use construct::{
-    cheapest_insertion, christofides_like, greedy_edge, mst_2approx, nearest_neighbor,
-};
+pub use construct::{cheapest_insertion, christofides_like, mst_2approx, nearest_neighbor};
 pub use cost::{CostMatrix, EuclideanCost, MatrixCost};
 pub use exact::held_karp;
-pub use improve::{improve, or_opt, two_opt, ImproveConfig};
+pub use improve::{improve, two_opt};
 pub use lower_bound::held_karp_lower_bound;
 pub use neighbors::{
-    improve_neighbors, or_opt_neighbors_seeded, two_opt_neighbors, two_opt_neighbors_seeded,
-    NeighborLists,
+    improve_neighbors, or_opt_neighbors_seeded, two_opt_neighbors_seeded, NeighborLists,
 };
-pub use splice::{cheapest_insertion_position, splice_point};
+pub use splice::cheapest_insertion_position;
 pub use split::{pack_in_order, split_into_k, SplitTour};
 pub use three_opt::three_opt;
 pub use tour::Tour;
@@ -83,8 +79,11 @@ pub use tour::Tour;
 /// ```
 pub fn plan_tour<C: CostMatrix>(cost: &C) -> Tour {
     let t = cheapest_insertion(cost);
-    improve(cost, t, &ImproveConfig::default())
+    improve(cost, t, PLAN_TOUR_PASSES)
 }
+
+/// Local-search rounds [`plan_tour`] allows.
+const PLAN_TOUR_PASSES: usize = 64;
 
 #[cfg(test)]
 mod tests {

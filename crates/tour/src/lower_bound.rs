@@ -112,7 +112,7 @@ mod tests {
     use crate::construct::cheapest_insertion;
     use crate::cost::MatrixCost;
     use crate::exact::held_karp;
-    use crate::improve::{improve, ImproveConfig};
+    use crate::improve::improve;
     use mdg_geom::Point;
     use rand::{Rng, SeedableRng};
 
@@ -141,7 +141,7 @@ mod tests {
         for seed in 0..4u64 {
             let pts = random_points(40, seed + 11);
             let cost = MatrixCost::from_points(&pts);
-            let tour = improve(&cost, cheapest_insertion(&cost), &ImproveConfig::default());
+            let tour = improve(&cost, cheapest_insertion(&cost), 64);
             let lb = held_karp_lower_bound(&cost, 60);
             assert!(lb <= tour.length(&cost) + 1e-6, "seed {}", seed + 11);
             assert!(lb > 0.0);

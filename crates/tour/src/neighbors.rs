@@ -17,7 +17,7 @@
 //! [`improve`](crate::improve::improve); [`NeighborLists`] is reusable
 //! across calls on the same point set.
 
-use crate::improve::ImproveConfig;
+use crate::improve::{MAX_SEGMENT, MIN_GAIN};
 use crate::tour::Tour;
 use mdg_geom::{Point, SpatialGrid};
 use std::collections::VecDeque;
@@ -192,7 +192,6 @@ fn two_opt_neighbors_pass(
     nl: &mut NeighborLists,
     order: &mut [usize],
     pos: &mut [u32],
-    min_gain: f64,
     seeds: Option<&[usize]>,
 ) -> f64 {
     let n = order.len();
@@ -239,7 +238,7 @@ fn two_opt_neighbors_pass(
                         continue; // Degenerate: shares an edge with (a,b).
                     }
                     let gain = d_ab + points[c].dist(points[d]) - d_ac - points[b].dist(points[d]);
-                    if gain > min_gain {
+                    if gain > MIN_GAIN {
                         if fwd {
                             reverse_cyclic(order, pos, (pa + 1) % n, pc);
                         } else {
@@ -268,7 +267,7 @@ fn two_opt_neighbors_pass(
 }
 
 /// Queue-driven neighbor-list Or-opt: relocates segments of length
-/// `1..=max_segment` (possibly reversed) to an insertion edge adjacent to
+/// `1..=`[`MAX_SEGMENT`] (possibly reversed) to an insertion edge adjacent to
 /// a k-nearest neighbor of one of the segment's endpoints. Returns the
 /// total gain.
 ///
@@ -280,8 +279,6 @@ fn or_opt_neighbors_pass(
     nl: &mut NeighborLists,
     order: &mut Vec<usize>,
     pos: &mut [u32],
-    max_segment: usize,
-    min_gain: f64,
     seeds: Option<&[usize]>,
 ) -> f64 {
     let n = order.len();
@@ -289,7 +286,7 @@ fn or_opt_neighbors_pass(
     if n < 4 || nl.k() == 0 {
         return 0.0;
     }
-    let max_segment = max_segment.min(n - 2).max(1);
+    let max_segment = MAX_SEGMENT.min(n - 2).max(1);
     let (mut queue, mut queued) = seed_queue(order, seeds);
     let mut moves = 0u64;
     'cities: while let Some(first) = queue.pop_front() {
@@ -307,7 +304,7 @@ fn or_opt_neighbors_pass(
             let next = order[(start + seg_len) % n];
             let removal_gain = points[prev].dist(points[first]) + points[last].dist(points[next])
                 - points[prev].dist(points[next]);
-            if removal_gain <= min_gain {
+            if removal_gain <= MIN_GAIN {
                 continue;
             }
             // Insertion anchors: cities whose successor edge we would
@@ -328,7 +325,7 @@ fn or_opt_neighbors_pass(
                 let rv = points[e].dist(points[last]) + points[first].dist(points[f]) - base;
                 let (ins_cost, reversed) = if fw <= rv { (fw, false) } else { (rv, true) };
                 let gain = removal_gain - ins_cost;
-                if gain > min_gain {
+                if gain > MIN_GAIN {
                     let mut seg: Vec<usize> = order.drain(start..start + seg_len).collect();
                     if reversed {
                         seg.reverse();
@@ -365,25 +362,11 @@ fn or_opt_neighbors_pass(
     total_gain
 }
 
-/// Neighbor-list 2-opt local search over `points` (city `i` at
-/// `points[i]`): the `O(n·k)`-per-sweep analogue of
-/// [`two_opt`](crate::improve::two_opt). Never lengthens the tour.
-pub fn two_opt_neighbors(
-    points: &[Point],
-    tour: Tour,
-    nl: &mut NeighborLists,
-    min_gain: f64,
-) -> Tour {
-    let mut order = tour.into_order();
-    let mut pos = positions(&order);
-    two_opt_neighbors_pass(points, nl, &mut order, &mut pos, min_gain, None);
-    Tour::from_order_unchecked(order).normalized()
-}
-
-/// Seeded neighbor-list 2-opt: like [`two_opt_neighbors`], but the work
-/// queue starts from `seeds` (city indices) instead of every city, so the
+/// Seeded neighbor-list 2-opt over `points` (city `i` at `points[i]`):
+/// like the 2-opt half of [`improve_neighbors`], but the work queue
+/// starts from `seeds` (city indices) instead of every city, so the
 /// search only examines those cities' neighborhoods — plus whatever a
-/// successful move wakes up transitively.
+/// successful move wakes up transitively. Never lengthens the tour.
 ///
 /// This is the hierarchical stitcher's touch-up primitive: after per-tile
 /// sub-tours are concatenated, only the cross-tile seam edges can be bad,
@@ -394,12 +377,11 @@ pub fn two_opt_neighbors_seeded(
     points: &[Point],
     tour: Tour,
     nl: &mut NeighborLists,
-    min_gain: f64,
     seeds: &[usize],
 ) -> Tour {
     let mut order = tour.into_order();
     let mut pos = positions(&order);
-    two_opt_neighbors_pass(points, nl, &mut order, &mut pos, min_gain, Some(seeds));
+    two_opt_neighbors_pass(points, nl, &mut order, &mut pos, Some(seeds));
     Tour::from_order_unchecked(order).normalized()
 }
 
@@ -417,32 +399,22 @@ pub fn or_opt_neighbors_seeded(
     points: &[Point],
     tour: Tour,
     nl: &mut NeighborLists,
-    max_segment: usize,
-    min_gain: f64,
     seeds: &[usize],
 ) -> Tour {
     let mut order = tour.into_order();
     let mut pos = positions(&order);
-    or_opt_neighbors_pass(
-        points,
-        nl,
-        &mut order,
-        &mut pos,
-        max_segment,
-        min_gain,
-        Some(seeds),
-    );
+    or_opt_neighbors_pass(points, nl, &mut order, &mut pos, Some(seeds));
     Tour::from_order_unchecked(order).normalized()
 }
 
 /// Neighbor-list analogue of [`improve`](crate::improve::improve):
-/// alternates candidate-list 2-opt and Or-opt until neither gains (or
-/// `max_passes` is hit). This is the planner's polishing step for large
+/// alternates candidate-list 2-opt and Or-opt until neither gains or
+/// `max_passes` rounds have run. This is the planner's polishing step for large
 /// stop counts, where the dense passes are unaffordable.
 ///
 /// ```
 /// use mdg_geom::Point;
-/// use mdg_tour::{improve_neighbors, EuclideanCost, ImproveConfig, NeighborLists, Tour};
+/// use mdg_tour::{improve_neighbors, EuclideanCost, NeighborLists, Tour};
 ///
 /// let pts = vec![
 ///     Point::new(0.0, 0.0),
@@ -451,14 +423,14 @@ pub fn or_opt_neighbors_seeded(
 ///     Point::new(0.0, 1.0),
 /// ];
 /// let mut nl = NeighborLists::build(&pts, 3);
-/// let t = improve_neighbors(&pts, Tour::new(vec![0, 1, 2, 3]), &ImproveConfig::default(), &mut nl);
+/// let t = improve_neighbors(&pts, Tour::new(vec![0, 1, 2, 3]), 64, &mut nl);
 /// let cost = EuclideanCost::new(&pts);
 /// assert!((t.length(&cost) - 4.0).abs() < 1e-9, "uncrossed square is optimal");
 /// ```
 pub fn improve_neighbors(
     points: &[Point],
     tour: Tour,
-    cfg: &ImproveConfig,
+    max_passes: usize,
     nl: &mut NeighborLists,
 ) -> Tour {
     let mut order = tour.into_order();
@@ -466,18 +438,10 @@ pub fn improve_neighbors(
     let mut sp = mdg_obs::span("improve");
     sp.add_items(n as u64);
     let mut pos = positions(&order);
-    for _ in 0..cfg.max_passes {
-        let g1 = two_opt_neighbors_pass(points, nl, &mut order, &mut pos, cfg.min_gain, None);
-        let g2 = or_opt_neighbors_pass(
-            points,
-            nl,
-            &mut order,
-            &mut pos,
-            cfg.max_segment,
-            cfg.min_gain,
-            None,
-        );
-        if g1 + g2 <= cfg.min_gain {
+    for _ in 0..max_passes {
+        let g1 = two_opt_neighbors_pass(points, nl, &mut order, &mut pos, None);
+        let g2 = or_opt_neighbors_pass(points, nl, &mut order, &mut pos, None);
+        if g1 + g2 <= MIN_GAIN {
             break;
         }
     }
@@ -491,6 +455,15 @@ mod tests {
     use crate::cost::EuclideanCost;
     use crate::improve::{improve, two_opt};
     use rand::{Rng, SeedableRng};
+
+    /// The full (unseeded) neighbor-list 2-opt, as [`improve_neighbors`]
+    /// runs it.
+    fn two_opt_neighbors(points: &[Point], tour: Tour, nl: &mut NeighborLists) -> Tour {
+        let mut order = tour.into_order();
+        let mut pos = positions(&order);
+        two_opt_neighbors_pass(points, nl, &mut order, &mut pos, None);
+        Tour::from_order_unchecked(order).normalized()
+    }
 
     fn random_points(n: usize, seed: u64) -> Vec<Point> {
         let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
@@ -593,8 +566,8 @@ mod tests {
             })
             .collect();
         let mut nl = NeighborLists::build(&pts, 8);
-        let t = two_opt_neighbors_seeded(&pts, Tour::identity(400), &mut nl, 1e-9, &[5, 200]);
-        let t = or_opt_neighbors_seeded(&pts, t, &mut nl, 3, 1e-9, &[5, 200]);
+        let t = two_opt_neighbors_seeded(&pts, Tour::identity(400), &mut nl, &[5, 200]);
+        let t = or_opt_neighbors_seeded(&pts, t, &mut nl, &[5, 200]);
         assert_eq!(t.order(), Tour::identity(400).order());
         assert!(nl.rows_computed() <= 8, "{} rows", nl.rows_computed());
     }
@@ -608,7 +581,7 @@ mod tests {
             Point::new(0.0, 1.0),
         ];
         let mut nl = NeighborLists::build(&pts, 3);
-        let fixed = two_opt_neighbors(&pts, Tour::new(vec![0, 1, 2, 3]), &mut nl, 1e-9);
+        let fixed = two_opt_neighbors(&pts, Tour::new(vec![0, 1, 2, 3]), &mut nl);
         let cost = EuclideanCost::new(&pts);
         assert!((fixed.length(&cost) - 4.0).abs() < 1e-9);
     }
@@ -621,7 +594,7 @@ mod tests {
             let mut nl = NeighborLists::build(&pts, 10);
             let t0 = nearest_neighbor(&cost);
             let len0 = t0.length(&cost);
-            let t1 = improve_neighbors(&pts, t0, &ImproveConfig::default(), &mut nl);
+            let t1 = improve_neighbors(&pts, t0, 64, &mut nl);
             assert!(t1.length(&cost) <= len0 + 1e-9, "seed {seed}");
             let mut sorted = t1.order().to_vec();
             sorted.sort_unstable();
@@ -638,8 +611,8 @@ mod tests {
             let cost = EuclideanCost::new(&pts);
             let mut nl = NeighborLists::build(&pts, 39);
             let t0 = nearest_neighbor(&cost);
-            let dense = improve(&cost, t0.clone(), &ImproveConfig::default());
-            let sparse = improve_neighbors(&pts, t0, &ImproveConfig::default(), &mut nl);
+            let dense = improve(&cost, t0.clone(), 64);
+            let sparse = improve_neighbors(&pts, t0, 64, &mut nl);
             assert!(
                 sparse.length(&cost) <= dense.length(&cost) * 1.05 + 1e-9,
                 "seed {seed}: sparse {} vs dense {}",
@@ -657,8 +630,7 @@ mod tests {
             let mut nl = NeighborLists::build(&pts, 12);
             let t0 = nearest_neighbor(&cost);
             let dense = two_opt(&cost, t0.clone()).length(&cost);
-            let sparse =
-                improve_neighbors(&pts, t0, &ImproveConfig::default(), &mut nl).length(&cost);
+            let sparse = improve_neighbors(&pts, t0, 64, &mut nl).length(&cost);
             assert!(
                 sparse <= dense + 1e-9,
                 "seed {seed}: NL improve {sparse} vs dense 2-opt {dense}"
@@ -714,8 +686,8 @@ mod tests {
             // Seed every city in tour order — exactly the full pass's
             // initial queue — so the runs are move-for-move identical.
             let all: Vec<usize> = t0.order().to_vec();
-            let full = two_opt_neighbors(&pts, t0.clone(), &mut nl, 1e-9);
-            let seeded = two_opt_neighbors_seeded(&pts, t0, &mut nl, 1e-9, &all);
+            let full = two_opt_neighbors(&pts, t0.clone(), &mut nl);
+            let seeded = two_opt_neighbors_seeded(&pts, t0, &mut nl, &all);
             assert_eq!(full.order(), seeded.order(), "seed {seed}");
         }
     }
@@ -725,7 +697,7 @@ mod tests {
         let pts = random_points(30, 5);
         let mut nl = NeighborLists::build(&pts, 8);
         let t0 = Tour::identity(30);
-        let t1 = two_opt_neighbors_seeded(&pts, t0.clone(), &mut nl, 1e-9, &[]);
+        let t1 = two_opt_neighbors_seeded(&pts, t0.clone(), &mut nl, &[]);
         assert_eq!(t1.order(), t0.normalized().order());
     }
 
@@ -741,13 +713,8 @@ mod tests {
         let cost = EuclideanCost::new(&pts);
         // Seeding any vertex of the crossing edge pair fixes the square;
         // indices past n are silently skipped rather than panicking.
-        let fixed = two_opt_neighbors_seeded(
-            &pts,
-            Tour::new(vec![0, 1, 2, 3]),
-            &mut nl,
-            1e-9,
-            &[0, 99, 0],
-        );
+        let fixed =
+            two_opt_neighbors_seeded(&pts, Tour::new(vec![0, 1, 2, 3]), &mut nl, &[0, 99, 0]);
         assert!((fixed.length(&cost) - 4.0).abs() < 1e-9);
     }
 
@@ -759,7 +726,7 @@ mod tests {
             let mut nl = NeighborLists::build(&pts, 8);
             let t0 = Tour::identity(50);
             let len0 = t0.length(&cost);
-            let t1 = two_opt_neighbors_seeded(&pts, t0, &mut nl, 1e-9, &[0, 10, 20, 30, 40]);
+            let t1 = two_opt_neighbors_seeded(&pts, t0, &mut nl, &[0, 10, 20, 30, 40]);
             assert!(t1.length(&cost) <= len0 + 1e-9, "seed {seed}");
             let mut sorted = t1.order().to_vec();
             sorted.sort_unstable();
@@ -779,9 +746,9 @@ mod tests {
             for (p, &c) in order_full.iter().enumerate() {
                 pos_full[c] = p as u32;
             }
-            or_opt_neighbors_pass(&pts, &mut nl, &mut order_full, &mut pos_full, 3, 1e-9, None);
+            or_opt_neighbors_pass(&pts, &mut nl, &mut order_full, &mut pos_full, None);
             let full = Tour::from_order_unchecked(order_full).normalized();
-            let seeded = or_opt_neighbors_seeded(&pts, t0, &mut nl, 3, 1e-9, &all);
+            let seeded = or_opt_neighbors_seeded(&pts, t0, &mut nl, &all);
             assert_eq!(full.order(), seeded.order(), "seed {seed}");
         }
     }
@@ -791,7 +758,7 @@ mod tests {
         let pts = random_points(30, 5);
         let mut nl = NeighborLists::build(&pts, 8);
         let t0 = Tour::identity(30);
-        let t1 = or_opt_neighbors_seeded(&pts, t0.clone(), &mut nl, 3, 1e-9, &[]);
+        let t1 = or_opt_neighbors_seeded(&pts, t0.clone(), &mut nl, &[]);
         assert_eq!(t1.order(), t0.normalized().order());
     }
 
@@ -803,7 +770,7 @@ mod tests {
             let mut nl = NeighborLists::build(&pts, 8);
             let t0 = nearest_neighbor(&cost);
             let len0 = t0.length(&cost);
-            let t1 = or_opt_neighbors_seeded(&pts, t0, &mut nl, 3, 1e-9, &[0, 7, 99, 23, 7]);
+            let t1 = or_opt_neighbors_seeded(&pts, t0, &mut nl, &[0, 7, 99, 23, 7]);
             assert!(t1.length(&cost) <= len0 + 1e-9, "seed {seed}");
             let mut sorted = t1.order().to_vec();
             sorted.sort_unstable();
@@ -816,7 +783,7 @@ mod tests {
         for n in 1..4usize {
             let pts = random_points(n, 0);
             let mut nl = NeighborLists::build(&pts, 10);
-            let t = improve_neighbors(&pts, Tour::identity(n), &ImproveConfig::default(), &mut nl);
+            let t = improve_neighbors(&pts, Tour::identity(n), 64, &mut nl);
             assert_eq!(t.len(), n);
         }
     }

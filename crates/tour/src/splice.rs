@@ -69,14 +69,6 @@ fn scan_edges(cycle: &[Point], p: Point, lo: usize, hi: usize) -> (usize, f64) {
     (best_idx, best_detour)
 }
 
-/// Splices `p` into `cycle` at its cheapest position and returns the
-/// insertion index (see [`cheapest_insertion_position`]).
-pub fn splice_point(cycle: &mut Vec<Point>, p: Point) -> usize {
-    let (idx, _) = cheapest_insertion_position(cycle, p);
-    cycle.insert(idx, p);
-    idx
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -105,8 +97,8 @@ mod tests {
         ];
         let before = closed_tour_length(&cycle);
         let p = Point::new(15.0, -2.0);
-        let (_, detour) = cheapest_insertion_position(&cycle, p);
-        splice_point(&mut cycle, p);
+        let (idx, detour) = cheapest_insertion_position(&cycle, p);
+        cycle.insert(idx, p);
         let after = closed_tour_length(&cycle);
         assert!((after - before - detour).abs() < 1e-9);
     }
@@ -151,14 +143,11 @@ mod tests {
     #[test]
     fn all_colocated_cycle_accepts_another_duplicate() {
         // Degenerate geometry: every stop (and the new point) at one spot.
-        let mut cycle = vec![Point::new(5.0, 5.0); 3];
+        let cycle = vec![Point::new(5.0, 5.0); 3];
         let p = Point::new(5.0, 5.0);
         let (idx, detour) = cheapest_insertion_position(&cycle, p);
         assert_eq!(idx, 1, "earliest edge wins all-zero ties");
         assert!(detour.abs() < 1e-12);
-        let at = splice_point(&mut cycle, p);
-        assert_eq!(at, 1);
-        assert_eq!(cycle.len(), 4);
     }
 
     #[test]
@@ -179,11 +168,9 @@ mod tests {
 
     #[test]
     fn singleton_cycle_with_duplicate_point() {
-        let mut cycle = vec![Point::new(7.0, 7.0)];
+        let cycle = vec![Point::new(7.0, 7.0)];
         let (idx, detour) = cheapest_insertion_position(&cycle, Point::new(7.0, 7.0));
         assert_eq!((idx, detour), (1, 0.0));
-        splice_point(&mut cycle, Point::new(7.0, 7.0));
-        assert_eq!(cycle.len(), 2);
     }
 
     #[test]

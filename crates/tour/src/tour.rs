@@ -104,13 +104,6 @@ impl Tour {
         self.normalize();
         self
     }
-
-    /// Maps tour cities through `lookup` (e.g. from compact planner indices
-    /// back to sensor ids). The result is a plain sequence, not a `Tour`,
-    /// since the image need not be a permutation of a prefix.
-    pub fn mapped<T: Copy>(&self, lookup: &[T]) -> Vec<T> {
-        self.order.iter().map(|&c| lookup[c]).collect()
-    }
 }
 
 #[cfg(test)]
@@ -169,13 +162,6 @@ mod tests {
         let n = t.normalized();
         assert!((n.length(&cost) - len).abs() < 1e-12);
         assert_eq!(n.order()[0], 0);
-    }
-
-    #[test]
-    fn mapped_applies_lookup() {
-        let t = Tour::new(vec![0, 2, 1]);
-        let ids = [10usize, 20, 30];
-        assert_eq!(t.mapped(&ids), vec![10, 30, 20]);
     }
 
     #[test]

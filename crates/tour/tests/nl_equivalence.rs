@@ -4,9 +4,7 @@
 //! dense `two_opt` it replaces on the exact same input tour.
 
 use mdg_geom::Point;
-use mdg_tour::{
-    cheapest_insertion, improve_neighbors, two_opt, ImproveConfig, MatrixCost, NeighborLists, Tour,
-};
+use mdg_tour::{cheapest_insertion, improve_neighbors, two_opt, MatrixCost, NeighborLists, Tour};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -24,7 +22,7 @@ fn neighbor_list_search_never_longer_than_dense_two_opt() {
 
         let dense = two_opt(&cost, start.clone());
         let mut lists = NeighborLists::build(&pts, 12.min(n - 1));
-        let nl = improve_neighbors(&pts, start.clone(), &ImproveConfig::default(), &mut lists);
+        let nl = improve_neighbors(&pts, start.clone(), 64, &mut lists);
 
         let mut sorted = nl.order().to_vec();
         sorted.sort_unstable();

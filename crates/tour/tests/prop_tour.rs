@@ -2,9 +2,9 @@
 
 use mdg_geom::{hull_perimeter, Point};
 use mdg_tour::{
-    cheapest_insertion, christofides_like, exact::brute_force, greedy_edge, held_karp,
-    held_karp_lower_bound, improve, mst_2approx, nearest_neighbor, or_opt, pack_in_order,
-    plan_tour, split_into_k, three_opt, two_opt, CostMatrix, ImproveConfig, MatrixCost, Tour,
+    cheapest_insertion, christofides_like, held_karp, held_karp_lower_bound, improve, mst_2approx,
+    nearest_neighbor, pack_in_order, plan_tour, split_into_k, three_opt, two_opt, CostMatrix,
+    MatrixCost, Tour,
 };
 use proptest::prelude::*;
 
@@ -34,7 +34,6 @@ proptest! {
         let cost = MatrixCost::from_points(&pts);
         let n = pts.len();
         assert_perm(&nearest_neighbor(&cost), n)?;
-        assert_perm(&greedy_edge(&cost), n)?;
         assert_perm(&cheapest_insertion(&cost), n)?;
         assert_perm(&mst_2approx(&cost), n)?;
         assert_perm(&christofides_like(&cost), n)?;
@@ -46,8 +45,7 @@ proptest! {
         let base = nearest_neighbor(&cost);
         let len0 = base.length(&cost);
         prop_assert!(two_opt(&cost, base.clone()).length(&cost) <= len0 + 1e-9);
-        prop_assert!(or_opt(&cost, base.clone()).length(&cost) <= len0 + 1e-9);
-        let full = improve(&cost, base, &ImproveConfig::default());
+        let full = improve(&cost, base, 64);
         prop_assert!(full.length(&cost) <= len0 + 1e-9);
         assert_perm(&full, pts.len())?;
     }
@@ -86,14 +84,6 @@ proptest! {
         let cost = MatrixCost::from_points(&pts);
         let t = plan_tour(&cost);
         prop_assert!(t.length(&cost) + 1e-6 >= hull_perimeter(&pts));
-    }
-
-    #[test]
-    fn held_karp_is_optimal_vs_brute_force(pts in arb_points(4, 8)) {
-        let cost = MatrixCost::from_points(&pts);
-        let (_, hk) = held_karp(&cost);
-        let (_, bf) = brute_force(&cost);
-        prop_assert!((hk - bf).abs() < 1e-9);
     }
 
     #[test]

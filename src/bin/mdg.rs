@@ -786,13 +786,30 @@ fn cmd_serve(flags: &Flags) -> Result<(), String> {
             if addr.is_empty() {
                 return Err("--listen needs an address, e.g. 127.0.0.1:7717".into());
             }
+            // A zero-byte line limit answers every request, `shutdown`
+            // included, with `oversized`, and a zero session cap would run
+            // as one: neither daemon is what was asked for.
+            let max_sessions: usize = opt(flags, "max-sessions", 64)?;
+            if max_sessions == 0 {
+                return Err("--max-sessions must be at least 1".into());
+            }
+            let max_line_mb: usize = opt(flags, "max-line-mb", 32)?;
+            let max_line_bytes = max_line_mb
+                .checked_mul(1 << 20)
+                .filter(|&b| b > 0)
+                .ok_or_else(|| {
+                    format!(
+                        "--max-line-mb must be between 1 and {}, got {max_line_mb}",
+                        usize::MAX >> 20
+                    )
+                })?;
             let threads = apply_threads(flags)?;
             apply_alloc_counting(flags);
             let alloc_base = mobile_collectors::obs::alloc::totals();
             let cfg = mobile_collectors::serve::ServeConfig {
                 addr: addr.clone(),
-                max_sessions: opt(flags, "max-sessions", 64)?,
-                max_line_bytes: opt(flags, "max-line-mb", 32usize)? << 20,
+                max_sessions,
+                max_line_bytes,
                 ..mobile_collectors::serve::ServeConfig::default()
             };
             let server = mobile_collectors::serve::Server::start(cfg)

@@ -35,7 +35,7 @@
 //! | [`par`] | `mdg-par` | deterministic thread-pool parallelism (`MDG_THREADS`) |
 //! | [`obs`] | `mdg-obs` | observability: phase spans, counters, histograms, profile exporters |
 //! | [`geom`] | `mdg-geom` | points, hulls, spatial grids, distance matrices |
-//! | [`net`] | `mdg-net` | deployments, unit-disk graphs, BFS/Dijkstra/components |
+//! | [`net`] | `mdg-net` | deployments, unit-disk graphs, BFS trees, components |
 //! | [`energy`] | `mdg-energy` | first-order radio model, batteries, ledgers |
 //! | [`tour`] | `mdg-tour` | TSP construction/improvement/exact/splitting |
 //! | [`cover`] | `mdg-cover` | polling-point coverage and set-cover solvers |

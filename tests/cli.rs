@@ -3,13 +3,36 @@
 
 use mobile_collectors::serve::MetricsResponse;
 use std::path::PathBuf;
-use std::process::{Command, Output};
+use std::process::{Command, Output, Stdio};
+use std::time::{Duration, Instant};
 
 fn mdg(args: &[&str]) -> Output {
     Command::new(env!("CARGO_BIN_EXE_mdg"))
         .args(args)
         .output()
         .expect("binary runs")
+}
+
+/// Runs `mdg` like [`mdg`], but a process still running after `limit` is
+/// killed and fails the test, so a daemon that should have refused to
+/// start cannot hang the suite.
+fn mdg_within(args: &[&str], limit: Duration) -> Output {
+    let mut child = Command::new(env!("CARGO_BIN_EXE_mdg"))
+        .args(args)
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("binary runs");
+    let start = Instant::now();
+    while child.try_wait().expect("child status").is_none() {
+        if start.elapsed() > limit {
+            child.kill().expect("kill the child");
+            child.wait().expect("reap the child");
+            panic!("`mdg {}` still running after {limit:?}", args.join(" "));
+        }
+        std::thread::sleep(Duration::from_millis(20));
+    }
+    child.wait_with_output().expect("child output")
 }
 
 fn stdout(out: &Output) -> String {
@@ -763,6 +786,28 @@ fn serve_daemon_round_trip_over_a_socket() {
 /// its determinism contract: the self-check reproduces the recording, and
 /// a retry-budget sweep writes byte-identical divergence JSONL at 1 and 4
 /// worker threads.
+#[test]
+fn serve_limits_that_no_request_could_meet_are_errors() {
+    // A 0-byte line limit answers every request, `shutdown` included, with
+    // `oversized`, so only a signal would end that daemon. 2^44 MiB is
+    // 2^64 bytes, which wraps to the same 0-byte limit. A session cap of
+    // 0 would silently run as 1.
+    for (flag, value) in [
+        ("--max-line-mb", "0"),
+        ("--max-line-mb", "17592186044416"),
+        ("--max-sessions", "0"),
+    ] {
+        let out = mdg_within(
+            &["serve", "--listen", "127.0.0.1:0", flag, value],
+            Duration::from_secs(10),
+        );
+        let err = stderr(&out);
+        assert_eq!(out.status.code(), Some(1), "{flag} {value}: {err}");
+        assert!(err.contains(flag), "{flag} {value}: {err}");
+        assert!(!err.contains("panicked"), "{flag} {value}: {err}");
+    }
+}
+
 #[test]
 fn replay_self_checks_and_sweeps_identically_across_thread_counts() {
     let trace = tmp("replay_trace.jsonl");

@@ -96,15 +96,7 @@ fn hier_determinism_holds_for_every_covering_strategy() {
     };
     for (label, base) in [
         ("greedy", base_for(CoveringStrategy::Greedy, None)),
-        (
-            "tour_aware",
-            base_for(
-                CoveringStrategy::TourAware {
-                    insertion_weight: 1.0,
-                },
-                None,
-            ),
-        ),
+        ("tour_aware", base_for(CoveringStrategy::TourAware, None)),
         ("capacitated", base_for(CoveringStrategy::Greedy, Some(16))),
     ] {
         let cfg = HierConfig {

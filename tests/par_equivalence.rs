@@ -80,9 +80,7 @@ fn greedy_cfg() -> PlannerConfig {
 
 fn tour_aware_cfg() -> PlannerConfig {
     PlannerConfig {
-        covering: CoveringStrategy::TourAware {
-            insertion_weight: 1.0,
-        },
+        covering: CoveringStrategy::TourAware,
         ..PlannerConfig::default()
     }
 }
@@ -148,7 +146,7 @@ fn tour_aware_multi_block_path_bit_identical_across_thread_counts() {
 #[test]
 fn dense_improve_parallel_branch_matches_sequential() {
     use mobile_collectors::geom::Point;
-    use mobile_collectors::tour::{improve, EuclideanCost, ImproveConfig, Tour};
+    use mobile_collectors::tour::{improve, EuclideanCost, Tour};
     let _g = lock();
     // Drive `improve` directly at n = 600, past the planner's dense limit,
     // with EuclideanCost. Its candidate scans run inline on the calling
@@ -163,15 +161,11 @@ fn dense_improve_parallel_branch_matches_sequential() {
     };
     let pts: Vec<Point> = (0..600).map(|_| Point::new(next(), next())).collect();
     let cost = EuclideanCost::new(&pts);
-    let cfg = ImproveConfig {
-        max_passes: 2,
-        ..ImproveConfig::default()
-    };
     par::set_threads(1);
-    let reference = improve(&cost, Tour::identity(600), &cfg);
+    let reference = improve(&cost, Tour::identity(600), 2);
     for &t in &THREAD_COUNTS[1..] {
         par::set_threads(t);
-        let tour = improve(&cost, Tour::identity(600), &cfg);
+        let tour = improve(&cost, Tour::identity(600), 2);
         assert_eq!(
             reference.order(),
             tour.order(),
