@@ -21,6 +21,15 @@ use mdg_geom::Point;
 /// that zero-cost insertions do not dominate on gain-1 candidates.
 const EPSILON: f64 = 1.0;
 
+/// Relative rounding margin of the two cell bounds
+/// ([`probes_cannot_improve`], [`holds_no_anchored`]). Each bound and the
+/// kernel arithmetic it stands for round by a few ulps (about 1e-16) of
+/// the lengths involved; the margin is 1e-9 of them.
+const MARGIN: f64 = 1e-9;
+
+/// Live candidates per grid cell that the cell grid is sized for.
+const CELL_TARGET: usize = 16;
+
 /// Cheapest-insertion delta of `p` into the closed tour `tour` (which
 /// includes the sink). For a single-vertex "tour" this is the out-and-back
 /// distance.
@@ -56,10 +65,8 @@ struct InsEntry {
 }
 
 /// A candidate whose gain is still above zero, with its position and
-/// insertion cache entry side by side. The live array is compacted after
-/// every selection, so the scan and the cache update never visit a
-/// candidate that can no longer be chosen, and the cache update runs as
-/// disjoint mutable slabs of it under `mdg_par::par_chunks_mut`.
+/// insertion cache entry side by side. The live array is cell-major: each
+/// grid cell owns one run of it, in candidate-id order.
 #[derive(Debug, Clone, Copy)]
 struct LiveCand {
     id: usize,
@@ -67,14 +74,12 @@ struct LiveCand {
     ins: InsEntry,
 }
 
-/// Running argmax of the tour-aware selection rule. The fold over chunk
-/// winners uses the exact strict-better predicate of the sequential scan,
-/// so combining per-chunk results in chunk order reproduces the full
-/// left-to-right scan bit-for-bit.
+/// A live entry's standing under the selection rule.
 #[derive(Debug, Clone, Copy)]
 struct BestCand {
     /// Index into the live array.
     slot: usize,
+    id: usize,
     score: f64,
     gain: usize,
     ins: f64,
@@ -83,61 +88,272 @@ struct BestCand {
 impl BestCand {
     const NONE: BestCand = BestCand {
         slot: usize::MAX,
+        id: usize::MAX,
         score: f64::NEG_INFINITY,
         gain: 0,
         ins: 0.0,
     };
 
-    /// The reference scan's replacement rule: strictly better score, or
-    /// equal score with strictly more gain, or equal both with strictly
-    /// cheaper insertion. Earlier index wins all exact ties, which is what
-    /// makes the chunked fold order-equivalent to one sequential pass.
+    /// The selection order: higher score, then more gain, then cheaper
+    /// insertion, then lower candidate id. The last key is the reference
+    /// scan's earliest-index rule (it visits candidates in id order and
+    /// replaces its best only on a strictly better entry), so the order is
+    /// total and the best of the cell bests is the reference's winner.
     #[inline]
     fn beats(&self, other: &BestCand) -> bool {
-        self.score > other.score
-            || (self.score == other.score && self.gain > other.gain)
-            || (self.score == other.score && self.gain == other.gain && self.ins < other.ins)
+        if self.score != other.score {
+            return self.score > other.score;
+        }
+        if self.gain != other.gain {
+            return self.gain > other.gain;
+        }
+        if self.ins != other.ins {
+            return self.ins < other.ins;
+        }
+        self.id < other.id
     }
 }
 
-/// Fixed chunk sizes for the parallel stages. Chunk boundaries depend only
-/// on the live candidate count, which the instance alone determines —
-/// never on the thread count — so the work decomposition (and hence every
-/// float and tie decision) is identical at any `MDG_THREADS`.
-const SCAN_CHUNK: usize = 2048;
-const CACHE_CHUNK: usize = 4096;
+/// One cell of the grid over the live candidates.
+#[derive(Debug, Clone, Copy)]
+struct Cell {
+    /// The members are `live[start..start + len]`.
+    start: usize,
+    len: usize,
+    /// The members' exact bounding box.
+    lo: Point,
+    hi: Point,
+    /// At least every member's cached insertion delta.
+    max_delta: f64,
+    /// The members' best entry.
+    best: BestCand,
+    /// A member lost gain in the current selection.
+    marked: bool,
+}
 
-/// Cheapest insertion of `p` into the closed tour `pts`, whose edge `i`
-/// runs from `pts[i]` to the next vertex and has length `edge_len[i]`.
-/// Mirrors [`insertion_cost`] bit for bit with one square root per
-/// vertex: `|pts[i] p|` serves both edges at vertex `i` (`Point::dist` is
-/// symmetric to the bit), and each delta keeps the `(|ap| + |pb|) - |ab|`
-/// evaluation order. Strict `<` in position order keeps the earliest
-/// edge on ties, as the reference does.
-fn rescan(p: Point, pts: &[Point], edge_len: &[f64], nodes: &[usize]) -> InsEntry {
+impl Cell {
+    fn members<'a>(&self, live: &'a mut [LiveCand]) -> &'a mut [LiveCand] {
+        &mut live[self.start..self.start + self.len]
+    }
+
+    /// Drops the members left without gain, keeping id order.
+    fn compact(&mut self, live: &mut [LiveCand], gain: &[usize]) {
+        let members = self.members(live);
+        let mut kept = 0;
+        for i in 0..members.len() {
+            if gain[members[i].id] > 0 {
+                members[kept] = members[i];
+                kept += 1;
+            }
+        }
+        self.len = kept;
+    }
+
+    /// Scores every member and refits the cell to them: `ins` brings a
+    /// member's cache entry up to date and returns its insertion cost
+    /// under the selection rule. A NaN delta (only non-finite geometry
+    /// makes one) lifts the delta bound to infinity, so no bound ever
+    /// skips the cell.
+    fn visit(
+        &mut self,
+        live: &mut [LiveCand],
+        gain: &[usize],
+        mut ins: impl FnMut(&mut LiveCand) -> f64,
+    ) {
+        let mut best = BestCand::NONE;
+        let mut max_delta = f64::NEG_INFINITY;
+        let (mut lo, mut hi) = (
+            Point::new(f64::MAX, f64::MAX),
+            Point::new(f64::MIN, f64::MIN),
+        );
+        for (slot, e) in (self.start..).zip(self.members(live)) {
+            let g = gain[e.id];
+            let ins = ins(e);
+            let denom = EPSILON + ins;
+            let contender = BestCand {
+                slot,
+                id: e.id,
+                score: g as f64 / denom.max(f64::MIN_POSITIVE),
+                gain: g,
+                ins,
+            };
+            if contender.beats(&best) {
+                best = contender;
+            }
+            let d = e.ins.delta;
+            max_delta = max_delta.max(if d.is_nan() { f64::INFINITY } else { d });
+            lo = Point::new(lo.x.min(e.pos.x), lo.y.min(e.pos.y));
+            hi = Point::new(hi.x.max(e.pos.x), hi.y.max(e.pos.y));
+        }
+        (self.best, self.max_delta, self.lo, self.hi) = (best, max_delta, lo, hi);
+    }
+}
+
+/// Squared distance from `p` to the box `[lo, hi]`.
+fn box_dist_sq(p: Point, lo: Point, hi: Point) -> f64 {
+    let dx = (lo.x - p.x).max(p.x - hi.x).max(0.0);
+    let dy = (lo.y - p.y).max(p.y - hi.y).max(0.0);
+    dx * dx + dy * dy
+}
+
+/// True when no entry at a point of the box `[lo, hi]` whose cached delta
+/// is at most `max_delta` can take a probe of the new edges (a, w) and
+/// (w, b), where `reach` = max(|aw|, |wb|).
+///
+/// The triangle inequality gives |ap| ≥ |pw| − |aw|, so the first probe
+/// (|ap| + |pw|) − |aw| is at least 2(|pw| − |aw|), and the second is at
+/// least 2(|pw| − |wb|) likewise: neither undercuts a cached delta δ once
+/// 2(|pw| − reach) ≥ δ. With d the box's distance from w, the test is
+/// (2 − m)·d ≥ δ + m·|δ| + (2 + m)·reach, m = [`MARGIN`], taken in squared
+/// distances. It leaves a slack of m·(|pw| + reach + |δ|) for every member
+/// p, far above the rounding of the probes and of the test.
+fn probes_cannot_improve(w: Point, reach: f64, lo: Point, hi: Point, max_delta: f64) -> bool {
+    let r = (max_delta + MARGIN * max_delta.abs() + (2.0 + MARGIN) * reach) / (2.0 - MARGIN);
+    r <= 0.0 || box_dist_sq(w, lo, hi) >= r * r
+}
+
+/// True when no entry at a point of the box `[lo, hi]` whose cached delta
+/// is at most `max_delta` can be anchored on the split edge (a, b), of
+/// computed length `ab`.
+///
+/// An entry anchored there caches δ = (|ap| + |pb|) − |ab|, and
+/// |ap| + |pb| ≥ 2|pm| for the edge's midpoint m (the triangle inequality
+/// on (p − a) + (p − b) = 2(p − m)). So the box holds none once twice its
+/// distance from m exceeds |ab| + max_delta, with the margin taken on
+/// |ab| + |max_delta|. The doubled offsets 2(p − m) = 2(p − a) − (b − a)
+/// are formed from differences, so they round with the edge's scale, not
+/// with the coordinates'.
+fn holds_no_anchored(a: Point, b: Point, ab: f64, lo: Point, hi: Point, max_delta: f64) -> bool {
+    let r = ab + max_delta + MARGIN * (ab + max_delta.abs());
+    // Distance of 0 from the interval [2(lo − a) − h, 2(hi − a) − h].
+    let gap = |lo: f64, hi: f64, a: f64, h: f64| {
+        let (near, far) = (2.0 * (lo - a) - h, 2.0 * (hi - a) - h);
+        near.max(-far).max(0.0)
+    };
+    let dx = gap(lo.x, hi.x, a.x, b.x - a.x);
+    let dy = gap(lo.y, hi.y, a.y, b.y - a.y);
+    r < 0.0 || dx * dx + dy * dy > r * r
+}
+
+/// The edge of the closed tour `pts` with the cheapest insertion of `p`,
+/// and that delta; edge `i` runs from `pts[i]` to the next vertex and has
+/// length `edge_len[i]`. Mirrors [`insertion_cost`] bit for bit with one
+/// square root per vertex: `|pts[i] p|` serves both edges at vertex `i`
+/// (`Point::dist` is symmetric to the bit), and each delta keeps the
+/// `(|ap| + |pb|) - |ab|` evaluation order. Strict `<` in position order
+/// keeps the earliest edge on ties, as the reference does.
+fn cheapest_edge(p: Point, pts: &[Point], edge_len: &[f64]) -> (usize, f64) {
     let first = pts[0].dist(p);
     let mut from = first;
-    let mut best = InsEntry {
-        delta: f64::INFINITY,
-        after: SINK,
-    };
-    for ((q, &ab), &node) in pts[1..].iter().zip(edge_len).zip(nodes) {
+    let (mut best, mut best_delta) = (0, f64::INFINITY);
+    for (i, (q, &ab)) in pts[1..].iter().zip(edge_len).enumerate() {
         let to = q.dist(p);
         let delta = (from + to) - ab;
-        if delta < best.delta {
-            best = InsEntry { delta, after: node };
+        if delta < best_delta {
+            (best, best_delta) = (i, delta);
         }
         from = to;
     }
     let last = pts.len() - 1;
     let delta = (from + first) - edge_len[last];
-    if delta < best.delta {
-        best = InsEntry {
-            delta,
-            after: nodes[last],
-        };
+    if delta < best_delta {
+        (best, best_delta) = (last, delta);
     }
-    best
+    (best, best_delta)
+}
+
+/// Sorts the candidates with gain into the cells of a grid over their
+/// bounding box, sized from the instance alone for about [`CELL_TARGET`]
+/// per cell. Returns the cell-major live array, the occupied cells (not
+/// yet visited) and each candidate's cell (`u32::MAX` without gain).
+fn build_cells(inst: &CoverageInstance, gain: &[usize]) -> (Vec<LiveCand>, Vec<Cell>, Vec<u32>) {
+    let ids = || (0..inst.n_candidates()).filter(|&c| gain[c] > 0);
+    let (mut lo, mut hi) = (
+        Point::new(f64::MAX, f64::MAX),
+        Point::new(f64::MIN, f64::MIN),
+    );
+    let mut n_live = 0usize;
+    for c in ids() {
+        let p = inst.candidates[c].pos;
+        lo = Point::new(lo.x.min(p.x), lo.y.min(p.y));
+        hi = Point::new(hi.x.max(p.x), hi.y.max(p.y));
+        n_live += 1;
+    }
+    // About n_live / CELL_TARGET square cells; a degenerate box is cut
+    // into strips, and each axis has at most that many cells.
+    let k = n_live.div_ceil(CELL_TARGET).max(1);
+    let (w, h) = (hi.x - lo.x, hi.y - lo.y);
+    let side = if w * h > 0.0 {
+        (w * h / k as f64).sqrt()
+    } else {
+        w.max(h) / k as f64
+    };
+    let dim = |extent: f64| {
+        if side > 0.0 {
+            ((extent / side).ceil() as usize).clamp(1, k)
+        } else {
+            1
+        }
+    };
+    let (cols, rows) = (dim(w), dim(h));
+    let scale = |extent: f64, cells: usize| {
+        if extent > 0.0 {
+            cells as f64 / extent
+        } else {
+            0.0
+        }
+    };
+    let (fx, fy) = (scale(w, cols), scale(h, rows));
+
+    // Counting sort by cell; ids ascend within each cell.
+    let mut cell_of = vec![u32::MAX; inst.n_candidates()];
+    let mut counts = vec![0usize; cols * rows];
+    for c in ids() {
+        let p = inst.candidates[c].pos;
+        let cx = (((p.x - lo.x) * fx) as usize).min(cols - 1);
+        let cy = (((p.y - lo.y) * fy) as usize).min(rows - 1);
+        cell_of[c] = (cy * cols + cx) as u32;
+        counts[cy * cols + cx] += 1;
+    }
+    let mut cells = Vec::with_capacity(counts.iter().filter(|&&count| count > 0).count());
+    let mut start = 0;
+    for count in &mut counts {
+        if *count > 0 {
+            cells.push(Cell {
+                start,
+                len: 0,
+                lo,
+                hi,
+                max_delta: f64::INFINITY,
+                best: BestCand::NONE,
+                marked: false,
+            });
+            start += *count;
+            // From here on the grid cell's index into `cells`.
+            *count = cells.len() - 1;
+        }
+    }
+    let unset = LiveCand {
+        id: usize::MAX,
+        pos: Point::ORIGIN,
+        ins: InsEntry {
+            delta: f64::INFINITY,
+            after: SINK,
+        },
+    };
+    let mut live = vec![unset; n_live];
+    for c in ids() {
+        let ci = counts[cell_of[c] as usize];
+        cell_of[c] = ci as u32;
+        let cell = &mut cells[ci];
+        live[cell.start + cell.len] = LiveCand {
+            id: c,
+            pos: inst.candidates[c].pos,
+            ..unset
+        };
+        cell.len += 1;
+    }
+    (live, cells, cell_of)
 }
 
 /// Runs tour-aware greedy covering: the selected candidates in selection
@@ -148,42 +364,70 @@ fn rescan(p: Point, pts: &[Point], edge_len: &[f64], nodes: &[usize]) -> InsEntr
 /// specification:
 ///
 /// * **Gains** are maintained through an inverted index (target → covering
-///   candidates): selecting a candidate decrements the gain of every
-///   candidate sharing one of its newly covered targets, instead of
-///   recounting every candidate's bitset each step.
-/// * **Live candidates** — those whose gain is still above zero — sit in
-///   one contiguous array of (candidate id, position, cache entry), stably
-///   compacted after each gain update. A candidate at zero gain never
-///   regains any, so the selection scan and the cache update only ever
-///   visit candidates that can still be chosen, in candidate-id order.
+///   candidates), built as the transpose of per-candidate target lists:
+///   selecting a candidate decrements the gain of every candidate sharing
+///   one of its newly covered targets.
+/// * **Live candidates** — those whose gain is still above zero — sit
+///   cell-major on a grid over the instance. Each cell keeps its members'
+///   bounding box, an upper bound on their cached insertion deltas and its
+///   best entry under the selection order, so a selection folds the cell
+///   bests instead of scanning every candidate.
 /// * **Insertion costs** are cached per candidate as `(edge, delta)`,
 ///   keyed by the tour node the edge starts at. Inserting a point splits
-///   exactly one tour edge, and every candidate probes the two new edges.
-///   A candidate cached elsewhere is settled by the probes, since its
-///   cached minimum over surviving edges stays valid. One cached on the
-///   split edge is settled by the cheaper probe when that is strictly
-///   below its old delta — the old minimum bounds every surviving edge,
-///   so this is exactly what a rescan would return — and is rescanned in
-///   full otherwise. Tour edge lengths are kept beside the tour, so a
-///   rescan takes one square root per tour vertex and a probe three.
+///   one tour edge into two new ones. An entry cached elsewhere keeps a
+///   valid minimum over the surviving edges and takes a cheaper probe of
+///   the new edges. One cached on the split edge is settled by the cheaper
+///   probe when that is strictly below its old delta — the old minimum
+///   bounds every surviving edge — and is rescanned in full otherwise.
+/// * **Only cells a selection can change are visited.** A cell is
+///   compacted and rescored when a member lost gain. Its cache entries are
+///   updated, and it is rescored, unless two bounds show that no member
+///   can take a probe and none is cached on the split edge
+///   ([`probes_cannot_improve`], [`holds_no_anchored`]).
 ///
-/// Every cache delta reproduces the reference's arithmetic bit-for-bit
-/// (see `rescan`), so the selections come out identical. The only divergence window is a candidate whose
-/// cheapest insertion delta is *exactly* tied (to the last bit) across
-/// distinct tour edges, where the reference keeps the earliest tour
-/// position and the cache may keep the edge it found first;
-/// non-degenerate geometry never produces such ties.
+/// Every cache delta reproduces the reference's arithmetic bit for bit,
+/// and each winner is spliced at the first edge with its cheapest delta,
+/// where the reference inserts it, so the selections are identical.
 pub(crate) fn tour_aware_cover(inst: &CoverageInstance, sink: Point) -> Option<Vec<usize>> {
     let n = inst.n_targets();
     let n_cands = inst.n_candidates();
     let mut sp = mdg_obs::span("tour_aware");
     sp.add_items(n_cands as u64);
-    // Cache-maintenance counters, bumped from mdg-par worker slabs (each
-    // slab accumulates locally and flushes once — pure observation, so the
-    // bit-identical-plan invariant is untouched).
-    let ctr_rescans = mdg_obs::counter("tour_aware/cache_rescans");
-    let ctr_probes = mdg_obs::counter("tour_aware/cache_probes");
+
+    // Per-candidate target lists in one pass over the bitsets, then their
+    // transpose, both in CSR form. `inv_starts` counts each target's
+    // candidates, sums them to list ends and is counted back down to list
+    // starts by the fill; the order within a list does not matter.
+    let mut gain: Vec<usize> = inst.candidates.iter().map(|c| c.covers.count()).collect();
+    let mut fwd: Vec<u32> = Vec::with_capacity(gain.iter().sum());
+    let mut fwd_starts: Vec<u32> = Vec::with_capacity(n_cands + 1);
+    let mut inv_starts: Vec<u32> = vec![0; n + 1];
+    fwd_starts.push(0);
+    for cand in &inst.candidates {
+        for t in cand.covers.iter_ones() {
+            fwd.push(t as u32);
+            inv_starts[t] += 1;
+        }
+        // Every list offset, and so every prefix sum below, fits in u32.
+        fwd_starts.push(u32::try_from(fwd.len()).expect("fewer than 2^32 covering pairs"));
+    }
+    for t in 1..=n {
+        inv_starts[t] += inv_starts[t - 1];
+    }
+    let mut inv: Vec<u32> = vec![0; fwd.len()];
+    for c in 0..n_cands {
+        for &t in &fwd[fwd_starts[c] as usize..fwd_starts[c + 1] as usize] {
+            inv_starts[t as usize] -= 1;
+            inv[inv_starts[t as usize] as usize] = c as u32;
+        }
+    }
+
+    let (mut live, mut cells, cell_of) = build_cells(inst, &gain);
+    for cell in &mut cells {
+        cell.visit(&mut live, &gain, |e| 2.0 * sink.dist(e.pos));
+    }
     let mut covered = BitSet::new(n);
+    let mut remaining = n;
     let mut selected = Vec::new();
     let mut tour_pts: Vec<Point> = vec![sink];
     // Tour node ids parallel to `tour_pts`: `SINK`, then candidate ids in
@@ -191,152 +435,85 @@ pub(crate) fn tour_aware_cover(inst: &CoverageInstance, sink: Point) -> Option<V
     let mut tour_nodes: Vec<usize> = vec![SINK];
     // `edge_len[i]` = |tour_pts[i] tour_pts[i + 1]|, closing at the sink.
     let mut edge_len: Vec<f64> = vec![0.0];
-    let mut remaining = n;
+    let (mut probes, mut rescans) = (0u64, 0u64);
 
-    // Inverted index in CSR form: candidates covering each target.
-    let mut inv_starts: Vec<u32> = vec![0; n + 1];
-    for cand in &inst.candidates {
-        for t in cand.covers.iter_ones() {
-            inv_starts[t + 1] += 1;
+    let feasible = loop {
+        if remaining == 0 {
+            break true;
         }
-    }
-    for t in 0..n {
-        inv_starts[t + 1] += inv_starts[t];
-    }
-    let mut inv: Vec<u32> = vec![0; inv_starts[n] as usize];
-    let mut cursor = inv_starts.clone();
-    for (c, cand) in inst.candidates.iter().enumerate() {
-        for t in cand.covers.iter_ones() {
-            inv[cursor[t] as usize] = c as u32;
-            cursor[t] += 1;
-        }
-    }
-
-    let mut gain: Vec<usize> = inst.candidates.iter().map(|c| c.covers.count()).collect();
-    // The cache entries are valid once the tour has ≥ 2 points.
-    let mut live: Vec<LiveCand> = Vec::with_capacity(n_cands);
-    live.extend(
-        inst.candidates
-            .iter()
-            .enumerate()
-            .filter(|&(c, _)| gain[c] > 0)
-            .map(|(id, cand)| LiveCand {
-                id,
-                pos: cand.pos,
-                ins: InsEntry {
-                    delta: f64::INFINITY,
-                    after: SINK,
-                },
-            }),
-    );
-
-    while remaining > 0 {
-        let single = tour_pts.len() == 1;
-        // Parallel selection scan: each fixed chunk computes its local
-        // argmax with the sequential predicate, then the chunk winners
-        // fold left-to-right with the same predicate (see [`BestCand`]).
-        let best = mdg_par::par_reduce(
-            live.len(),
-            SCAN_CHUNK,
-            |range| {
-                let mut acc = BestCand::NONE;
-                for slot in range {
-                    let e = &live[slot];
-                    let g = gain[e.id];
-                    let ins = if single {
-                        2.0 * sink.dist(e.pos)
-                    } else {
-                        e.ins.delta
-                    };
-                    let denom = EPSILON + ins;
-                    let score = g as f64 / denom.max(f64::MIN_POSITIVE);
-                    let contender = BestCand {
-                        slot,
-                        score,
-                        gain: g,
-                        ins,
-                    };
-                    if contender.beats(&acc) {
-                        acc = contender;
-                    }
-                }
+        let best = cells.iter().fold(BestCand::NONE, |acc, cell| {
+            if cell.best.beats(&acc) {
+                cell.best
+            } else {
                 acc
-            },
-            |a, b| if b.beats(&a) { b } else { a },
-        )
-        .unwrap_or(BestCand::NONE);
+            }
+        });
         if best.slot == usize::MAX {
-            return None;
+            break false;
         }
-        let LiveCand {
-            id: w,
-            pos: w_pt,
-            ins: w_ins,
-        } = live[best.slot];
-
-        // Update gains through the inverted index before marking covered,
-        // then drop every candidate left without gain (the winner among
-        // them), keeping the survivors in candidate order.
-        for t in inst.candidates[w].covers.iter_ones() {
+        let (w, w_pt) = (best.id, live[best.slot].pos);
+        for &t in &fwd[fwd_starts[w] as usize..fwd_starts[w + 1] as usize] {
+            let t = t as usize;
             if !covered.get(t) {
+                covered.set(t);
+                remaining -= 1;
                 for &c2 in &inv[inv_starts[t] as usize..inv_starts[t + 1] as usize] {
                     gain[c2 as usize] -= 1;
+                    cells[cell_of[c2 as usize] as usize].marked = true;
                 }
             }
         }
-        live.retain(|e| gain[e.id] > 0);
-        covered.union_with(&inst.candidates[w].covers);
         selected.push(w);
-        remaining = n - covered.count();
 
-        // Splice the winner into the tour after its cached edge start;
-        // the split edge's length gives way to the two new ones.
-        let after = if single { SINK } else { w_ins.after };
-        let pos = tour_nodes
-            .iter()
-            .position(|&id| id == after)
-            .expect("cached edge start is on the tour")
-            + 1;
+        // Splice the winner in at the first edge with its cheapest delta,
+        // where the reference inserts it. Its cache entry holds the same
+        // delta but may name a later edge that ties it exactly.
+        let single = tour_pts.len() == 1;
+        let pos = if single {
+            1
+        } else {
+            cheapest_edge(w_pt, &tour_pts, &edge_len).0 + 1
+        };
+        let split_len = edge_len[pos - 1];
         tour_pts.insert(pos, w_pt);
         tour_nodes.insert(pos, w);
+        let after = tour_nodes[pos - 1];
         let a_pt = tour_pts[pos - 1];
         let b_pt = tour_pts[(pos + 1) % tour_pts.len()];
         let aw = a_pt.dist(w_pt);
         let wb = w_pt.dist(b_pt);
         edge_len[pos - 1] = aw;
         edge_len.insert(pos, wb);
-
         if remaining == 0 {
-            break;
+            break true;
         }
-        if single {
-            // 1 → 2 transition: both edges of the two-point tour have
-            // bitwise-equal deltas, so the reference's strict `<` keeps
-            // position 0 — the edge leaving the sink. Each cache entry is
-            // a pure function of its own candidate, so the slabs run in
-            // parallel.
-            mdg_par::par_chunks_mut(&mut live, CACHE_CHUNK, |_, slab| {
-                for e in slab {
-                    e.ins = InsEntry {
-                        delta: (sink.dist(e.pos) + e.pos.dist(w_pt)) - aw,
-                        after: SINK,
-                    };
-                }
-            });
-        } else {
-            // Edge (after, b) was split into (after, w) and (w, b); the
-            // two probes cover the new edges, sharing |pw|. Cache
-            // invariant: `ins.delta` is the true minimum over all tour
-            // edges, so a candidate anchored elsewhere keeps a valid
-            // value. One anchored on the split edge takes the cheaper
-            // probe (the first new edge on an exact tie, as `rescan`
-            // meets it first) when that is strictly below the old delta,
-            // which bounds every surviving edge; otherwise it is
-            // rescanned. Candidates update independently — parallel slabs.
-            mdg_par::par_chunks_mut(&mut live, CACHE_CHUNK, |_, slab| {
-                let mut rescans = 0u64;
-                let mut probes = 0u64;
-                for e in slab {
+
+        let reach = aw.max(wb);
+        for cell in &mut cells {
+            let marked = std::mem::take(&mut cell.marked);
+            if marked {
+                cell.compact(&mut live, &gain);
+            }
+            if cell.len == 0 {
+                cell.best = BestCand::NONE;
+            } else if single {
+                // 1 → 2 transition: both edges of the two-point tour have
+                // bitwise-equal deltas, so the reference's strict `<`
+                // keeps position 0, the edge leaving the sink.
+                cell.visit(&mut live, &gain, |e| {
+                    let delta = (sink.dist(e.pos) + e.pos.dist(w_pt)) - aw;
+                    e.ins = InsEntry { delta, after: SINK };
+                    delta
+                });
+            } else if !(probes_cannot_improve(w_pt, reach, cell.lo, cell.hi, cell.max_delta)
+                && holds_no_anchored(a_pt, b_pt, split_len, cell.lo, cell.hi, cell.max_delta))
+            {
+                // The two probes cover the new edges (after, w) and
+                // (w, b), sharing |pw|. The cheaper one wins for an entry
+                // cached on the split edge (the first new edge on an exact
+                // tie, as `cheapest_edge` meets it first) when strictly
+                // below its old delta; otherwise that entry is rescanned.
+                cell.visit(&mut live, &gain, |e| {
                     let p = e.pos;
                     let pw = p.dist(w_pt);
                     let d1 = (a_pt.dist(p) + pw) - aw;
@@ -355,7 +532,11 @@ pub(crate) fn tour_aware_cover(inst: &CoverageInstance, sink: Point) -> Option<V
                             e.ins = probe;
                         } else {
                             rescans += 1;
-                            e.ins = rescan(p, &tour_pts, &edge_len, &tour_nodes);
+                            let (i, delta) = cheapest_edge(p, &tour_pts, &edge_len);
+                            e.ins = InsEntry {
+                                delta,
+                                after: tour_nodes[i],
+                            };
                         }
                     } else {
                         probes += 1;
@@ -369,13 +550,16 @@ pub(crate) fn tour_aware_cover(inst: &CoverageInstance, sink: Point) -> Option<V
                             };
                         }
                     }
-                }
-                ctr_rescans.add(rescans);
-                ctr_probes.add(probes);
-            });
+                    e.ins.delta
+                });
+            } else if marked {
+                cell.visit(&mut live, &gain, |e| e.ins.delta);
+            }
         }
-    }
-    Some(selected)
+    };
+    mdg_obs::counter("tour_aware/cache_probes").add(probes);
+    mdg_obs::counter("tour_aware/cache_rescans").add(rescans);
+    feasible.then_some(selected)
 }
 
 /// The original full-rescan tour-aware covering: every step recounts every
@@ -506,6 +690,224 @@ mod tests {
             let slow = tour_aware_cover_reference(&inst, sink).unwrap();
             assert_eq!(fast, slow, "seed {seed}");
         }
+    }
+
+    /// Asserts the incremental cover selects exactly what the full-rescan
+    /// reference selects on `inst` from `sink`.
+    fn assert_matches_reference(inst: &CoverageInstance, sink: Point, label: &str) {
+        let fast = tour_aware_cover(inst, sink);
+        let slow = tour_aware_cover_reference(inst, sink);
+        assert_eq!(fast, slow, "{label}");
+    }
+
+    #[test]
+    fn incremental_matches_reference_on_integer_lattices() {
+        // Exact ties everywhere: equal distances, equal gains and equal
+        // scores between mirror-image candidates.
+        for (k, spacing, range) in [
+            (9, 1.0, 1.0),
+            (12, 1.0, 2.0),
+            (10, 3.0, 5.0),
+            (15, 2.0, 4.0),
+        ] {
+            let sensors: Vec<Point> = (0..k * k)
+                .map(|i| Point::new((i % k) as f64 * spacing, (i / k) as f64 * spacing))
+                .collect();
+            let inst = CoverageInstance::sensor_sites(&sensors, range);
+            let mid = (k / 2) as f64 * spacing;
+            for sink in [
+                Point::ORIGIN,
+                Point::new(mid, mid),
+                Point::new(-spacing, mid),
+            ] {
+                assert_matches_reference(&inst, sink, &format!("lattice {k}x{k} sink {sink:?}"));
+            }
+        }
+    }
+
+    #[test]
+    fn incremental_matches_reference_with_co_located_duplicates() {
+        use rand::{Rng, SeedableRng};
+        for seed in 0..8u64 {
+            let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+            let mut sensors = Vec::new();
+            for _ in 0..rng.gen_range(5..20) {
+                let p = Point::new(rng.gen_range(0.0..120.0), rng.gen_range(0.0..120.0));
+                for _ in 0..rng.gen_range(1..6) {
+                    sensors.push(p);
+                }
+            }
+            let inst = CoverageInstance::sensor_sites(&sensors, rng.gen_range(10.0..35.0));
+            assert_matches_reference(&inst, Point::new(60.0, 60.0), &format!("stacks {seed}"));
+        }
+    }
+
+    #[test]
+    fn incremental_matches_reference_on_parallel_lines() {
+        use rand::{Rng, SeedableRng};
+        for lines in 1..=3usize {
+            for seed in 0..4u64 {
+                let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+                let sensors: Vec<Point> = (0..lines * 40)
+                    .map(|i| {
+                        let y = (i % lines) as f64 * 12.0;
+                        let x = if seed % 2 == 0 {
+                            (i / lines) as f64 * 5.0
+                        } else {
+                            rng.gen_range(0.0..200.0)
+                        };
+                        Point::new(x, y)
+                    })
+                    .collect();
+                let inst = CoverageInstance::sensor_sites(&sensors, 10.0 + seed as f64 * 5.0);
+                for sink in [
+                    Point::ORIGIN,
+                    Point::new(100.0, 6.0),
+                    Point::new(100.0, -50.0),
+                ] {
+                    assert_matches_reference(&inst, sink, &format!("{lines} lines seed {seed}"));
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn incremental_matches_reference_on_a_blob_beside_a_sparse_field() {
+        use rand::{Rng, SeedableRng};
+        for seed in 0..6u64 {
+            let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+            let mut sensors: Vec<Point> = (0..60)
+                .map(|_| Point::new(rng.gen_range(0.0..400.0), rng.gen_range(0.0..400.0)))
+                .collect();
+            let c = Point::new(rng.gen_range(50.0..350.0), rng.gen_range(50.0..350.0));
+            sensors.extend((0..120).map(|_| {
+                Point::new(
+                    c.x + rng.gen_range(-4.0..4.0),
+                    c.y + rng.gen_range(-4.0..4.0),
+                )
+            }));
+            let inst = CoverageInstance::sensor_sites(&sensors, rng.gen_range(20.0..60.0));
+            assert_matches_reference(&inst, Point::new(200.0, 200.0), &format!("blob {seed}"));
+        }
+    }
+
+    #[test]
+    fn incremental_matches_reference_on_grid_candidates() {
+        use rand::{Rng, SeedableRng};
+        for seed in 0..8u64 {
+            let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+            let side = 200.0;
+            let sensors: Vec<Point> = (0..rng.gen_range(30..150))
+                .map(|_| Point::new(rng.gen_range(0.0..side), rng.gen_range(0.0..side)))
+                .collect();
+            let field = mdg_geom::Aabb::square(side);
+            let spacing = [5.0, 10.0, 20.0][seed as usize % 3];
+            let inst = CoverageInstance::grid_candidates(&sensors, &field, spacing, 25.0);
+            assert!(inst.is_feasible(), "seed {seed}");
+            for sink in [Point::ORIGIN, Point::new(100.0, 100.0)] {
+                assert_matches_reference(&inst, sink, &format!("grid {spacing} m seed {seed}"));
+            }
+        }
+    }
+
+    /// The next float above `x` (`f64::next_up`, newer than the
+    /// workspace's minimum Rust version).
+    fn next_up(x: f64) -> f64 {
+        if x == 0.0 {
+            f64::from_bits(1)
+        } else if x > 0.0 {
+            f64::from_bits(x.to_bits() + 1)
+        } else {
+            f64::from_bits(x.to_bits() - 1)
+        }
+    }
+
+    /// Draws for each skip-bound test. Without [`MARGIN`] both bounds
+    /// wrongly skip a large share of them.
+    const BOUND_DRAWS: usize = 200_000;
+
+    /// A random direction and its left normal.
+    fn frame(rng: &mut impl rand::Rng) -> (Point, Point) {
+        let angle = rng.gen_range(0.0..std::f64::consts::TAU);
+        let (sin, cos) = angle.sin_cos();
+        (Point::new(cos, sin), Point::new(-sin, cos))
+    }
+
+    /// A centre far from the origin and a length scale much smaller than
+    /// its coordinates.
+    fn place(rng: &mut impl rand::Rng) -> (Point, f64) {
+        let centre = Point::new(rng.gen_range(-1e6..1e6), rng.gen_range(-1e6..1e6));
+        (centre, 10f64.powf(rng.gen_range(-2.0..3.0)))
+    }
+
+    #[test]
+    fn probe_bound_never_skips_an_entry_a_probe_would_change() {
+        use rand::{Rng, SeedableRng};
+        let mut rng = rand::rngs::StdRng::seed_from_u64(0xB0_0D);
+        for draw in 0..BOUND_DRAWS {
+            // w, then one new edge's far end `near` and p beyond it on a
+            // line through w, up to a sliver off it: the probe over that
+            // edge meets its triangle bound 2(|pw| − |w near|). The other
+            // end `other` is no farther from w.
+            let (w, scale) = place(&mut rng);
+            let (u, v) = frame(&mut rng);
+            let t = scale * rng.gen_range(0.1..1.0);
+            let s = t + scale * rng.gen_range(0.0..2.0);
+            let near = w + u * t + v * (scale * 1e-12 * rng.gen_range(-1.0..1.0));
+            let p = w + u * s + v * (scale * 1e-12 * rng.gen_range(-1.0..1.0));
+            let other = w + frame(&mut rng).0 * (t * rng.gen_range(0.0..1.0));
+            let (a, b) = if rng.gen() {
+                (near, other)
+            } else {
+                (other, near)
+            };
+            // The kernel's probes, and a cached delta one ulp above the
+            // cheaper: the update would take the probe.
+            let (aw, wb) = (a.dist(w), w.dist(b));
+            let pw = p.dist(w);
+            let d1 = (a.dist(p) + pw) - aw;
+            let d2 = (pw + p.dist(b)) - wb;
+            let cached = next_up(d1.min(d2));
+            assert!(
+                !probes_cannot_improve(w, aw.max(wb), p, p, cached),
+                "draw {draw}: skipped p = {p:?} with a probe below its delta {cached}"
+            );
+        }
+        // The bound does skip a box well past the new edges.
+        let (lo, hi) = (Point::new(100.0, 100.0), Point::new(101.0, 101.0));
+        assert!(probes_cannot_improve(Point::ORIGIN, 1.0, lo, hi, 10.0));
+        assert!(!probes_cannot_improve(Point::ORIGIN, 1.0, lo, hi, 400.0));
+    }
+
+    #[test]
+    fn anchor_bound_never_excludes_an_entry_on_the_split_edge() {
+        use rand::{Rng, SeedableRng};
+        let mut rng = rand::rngs::StdRng::seed_from_u64(0xED_6E);
+        for draw in 0..BOUND_DRAWS {
+            // p on the line through a and b, up to a sliver off it, often
+            // past an end where |ap| + |pb| = 2|pm| for the midpoint m.
+            let (a, scale) = place(&mut rng);
+            let (u, v) = frame(&mut rng);
+            let b = a + u * (scale * rng.gen_range(0.0..1.0));
+            let s = match rng.gen_range(0..4) {
+                0 => 0.0,
+                1 => 1.0,
+                _ => rng.gen_range(-1.0..2.0),
+            };
+            let p = a + (b - a) * s + v * (scale * 1e-12 * rng.gen_range(-1.0..1.0));
+            // The kernel's delta for p cached on (a, b); it bounds the cell.
+            let ab = a.dist(b);
+            let delta = (a.dist(p) + p.dist(b)) - ab;
+            assert!(
+                !holds_no_anchored(a, b, ab, p, p, delta),
+                "draw {draw}: excluded p = {p:?} cached on ({a:?}, {b:?}) at {delta}"
+            );
+        }
+        // The bound does exclude a box well off the edge.
+        let (a, b) = (Point::ORIGIN, Point::new(1.0, 0.0));
+        let (lo, hi) = (Point::new(0.0, 5.0), Point::new(1.0, 6.0));
+        assert!(holds_no_anchored(a, b, 1.0, lo, hi, 1.0));
+        assert!(!holds_no_anchored(a, b, 1.0, lo, hi, 20.0));
     }
 
     #[test]

@@ -43,28 +43,44 @@ impl RadioModel {
     /// Creates a model, validating parameters.
     ///
     /// # Panics
-    /// Panics if any parameter is negative or non-finite, or if
-    /// `packet_bits` is zero.
+    /// Panics with [`RadioModel::validate`]'s message if a parameter is
+    /// out of range.
     pub fn new(e_elec: f64, e_amp: f64, alpha: f64, packet_bits: f64) -> Self {
-        assert!(
-            e_elec >= 0.0 && e_elec.is_finite(),
-            "e_elec must be non-negative"
-        );
-        assert!(
-            e_amp >= 0.0 && e_amp.is_finite(),
-            "e_amp must be non-negative"
-        );
-        assert!(alpha >= 1.0 && alpha.is_finite(), "alpha must be >= 1");
-        assert!(
-            packet_bits > 0.0 && packet_bits.is_finite(),
-            "packet_bits must be positive"
-        );
-        RadioModel {
+        let model = RadioModel {
             e_elec,
             e_amp,
             alpha,
             packet_bits,
+        };
+        if let Err(e) = model.validate() {
+            panic!("{e}");
         }
+        model
+    }
+
+    /// Checks the parameters: finite non-negative energies, a finite path
+    /// loss exponent of at least 1 and a finite positive packet size. A
+    /// deserialized model (a trace manifest's, say) has not been checked.
+    pub fn validate(&self) -> Result<(), String> {
+        if !(self.e_elec >= 0.0 && self.e_elec.is_finite()) {
+            return Err(format!(
+                "e_elec must be non-negative, got {:?}",
+                self.e_elec
+            ));
+        }
+        if !(self.e_amp >= 0.0 && self.e_amp.is_finite()) {
+            return Err(format!("e_amp must be non-negative, got {:?}", self.e_amp));
+        }
+        if !(self.alpha >= 1.0 && self.alpha.is_finite()) {
+            return Err(format!("alpha must be >= 1, got {:?}", self.alpha));
+        }
+        if !(self.packet_bits > 0.0 && self.packet_bits.is_finite()) {
+            return Err(format!(
+                "packet_bits must be positive, got {:?}",
+                self.packet_bits
+            ));
+        }
+        Ok(())
     }
 
     /// Energy to transmit one packet over distance `d` meters.
@@ -108,6 +124,40 @@ mod tests {
         let amp10 = m.tx_cost(10.0) - m.rx_cost();
         let amp20 = m.tx_cost(20.0) - m.rx_cost();
         assert!((amp20 / amp10 - 16.0).abs() < 1e-9, "d⁴ scaling");
+    }
+
+    #[test]
+    fn validate_rejects_each_out_of_range_parameter() {
+        assert_eq!(RadioModel::default().validate(), Ok(()));
+        for (field, value) in [
+            ("e_elec", -1e-9),
+            ("e_elec", f64::NAN),
+            ("e_amp", -1.0),
+            ("e_amp", f64::INFINITY),
+            ("alpha", 0.5),
+            ("alpha", -2.0),
+            ("alpha", f64::INFINITY),
+            ("packet_bits", 0.0),
+            ("packet_bits", f64::NAN),
+        ] {
+            let mut bad = RadioModel::default();
+            *match field {
+                "e_elec" => &mut bad.e_elec,
+                "e_amp" => &mut bad.e_amp,
+                "alpha" => &mut bad.alpha,
+                _ => &mut bad.packet_bits,
+            } = value;
+            let err = bad.validate().unwrap_err();
+            assert!(err.starts_with(field), "{field} = {value}: {err}");
+        }
+        // The edges of each range are valid.
+        assert_eq!(RadioModel::new(0.0, 0.0, 1.0, 1e-300).validate(), Ok(()));
+    }
+
+    #[test]
+    #[should_panic(expected = "packet_bits must be positive")]
+    fn new_panics_through_validate() {
+        RadioModel::new(50e-9, 100e-12, 2.0, 0.0);
     }
 
     #[test]

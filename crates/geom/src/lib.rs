@@ -36,6 +36,18 @@ pub use polyline::{closed_tour_length, open_path_length};
 pub use segment::Segment;
 pub use tiles::Tiling;
 
+/// Largest coordinate magnitude, in meters, that the planner's inputs may
+/// carry: the daemon, the CLI and trace replay reject positions, ranges
+/// and field sides beyond it.
+///
+/// Distance arithmetic squares coordinates, so positions beyond ~1e12
+/// push `dist_sq` toward `f64` overflow and tour lengths degrade to
+/// `inf`/`NaN`. Rejecting astronomically large values up front (like
+/// non-finite ones) keeps that failure in validation, before any state
+/// mutates. 10⁹ km is eight orders of magnitude beyond any deployable
+/// field, so no legitimate input is affected.
+pub const MAX_COORD: f64 = 1e12;
+
 /// Absolute tolerance used by approximate floating-point comparisons in
 /// tests and geometric predicates. One nanometre is far below any
 /// meaningful scale for a field measured in meters.

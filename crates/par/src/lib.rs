@@ -1,6 +1,6 @@
 //! # mdg-par — deterministic data parallelism on std threads
 //!
-//! The planner's hot loops (gain seeding, insertion-cache maintenance,
+//! The planner's hot loops (gain seeding, unit-disk graph rows,
 //! k-NN list construction, per-tile planning) are embarrassingly
 //! parallel *computations* feeding strictly sequential *decisions*. This
 //! crate supplies the computation side: a persistent worker pool (no
@@ -14,9 +14,6 @@
 //!   range (or slice). Block boundaries are computed from `n` and `chunk`
 //!   only — never from the thread count — so even order-sensitive
 //!   per-block results (e.g. float accumulations) are reproducible.
-//! * [`par_reduce`] — [`par_chunks`] followed by a **sequential** fold of
-//!   the block results in block order; the reducer runs on the calling
-//!   thread, which is where all selection and tie-breaking belongs.
 //!
 //! A hand-off to the pool costs microseconds, so callers keep scans that
 //! finish in less than that inline (the dense 2-opt/Or-opt candidate
@@ -516,35 +513,6 @@ where
     });
 }
 
-/// Maps fixed blocks of `0..n` in parallel, then folds the block results
-/// **sequentially in block order** on the calling thread. With the same
-/// `chunk`, the result is identical at any thread count — even for
-/// non-associative reducers (the parallel part only computes; the
-/// order-sensitive part never leaves the caller). Returns `None` when
-/// `n == 0`.
-///
-/// ```
-/// // Deterministic argmax with first-wins ties, in parallel:
-/// let xs = [3, 1, 4, 1, 5, 9, 2, 6, 5, 3];
-/// let best = mdg_par::par_reduce(
-///     xs.len(),
-///     4,
-///     |r| r.map(|i| (i, xs[i])).max_by_key(|&(i, x)| (x, std::cmp::Reverse(i))).unwrap(),
-///     |a, b| if b.1 > a.1 { b } else { a },
-/// );
-/// assert_eq!(best, Some((5, 9)));
-/// ```
-pub fn par_reduce<A, M, F>(n: usize, chunk: usize, map: M, mut fold: F) -> Option<A>
-where
-    A: Send,
-    M: Fn(Range<usize>) -> A + Sync,
-    F: FnMut(A, A) -> A,
-{
-    let mut blocks = par_chunks(n, chunk, map).into_iter();
-    let first = blocks.next()?;
-    Some(blocks.fold(first, &mut fold))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -624,20 +592,6 @@ mod tests {
             });
             v
         });
-    }
-
-    #[test]
-    fn reduce_folds_in_block_order() {
-        // Non-associative fold (string concatenation of block ids).
-        same_at_all_thread_counts(|| {
-            par_reduce(
-                2500,
-                31,
-                |r| format!("[{}..{})", r.start, r.end),
-                |a, b| a + &b,
-            )
-        });
-        assert_eq!(par_reduce(0, 4, |_| 0u32, |a, b| a + b), None);
     }
 
     #[test]

@@ -73,6 +73,7 @@ use crate::trace::{
     ReplayManifest, RoundRecord, TopologyManifest, TraceBundle, TraceWriter, TRACE_VERSION,
 };
 use mdg_core::{GatheringPlan, ShdgPlanner};
+use mdg_geom::MAX_COORD;
 use mdg_net::Network;
 use serde::{Deserialize, Serialize};
 
@@ -494,23 +495,30 @@ pub struct ReplayEngine {
 }
 
 /// Checks a manifest read from a trace file before it reaches the
-/// library's asserts: a positive finite range and field side, finite
-/// explicit positions, a finite non-negative battery, and the fault and
-/// simulation configs' own rules.
+/// library's asserts: a positive range and field side and finite explicit
+/// positions, all within [`MAX_COORD`], a finite non-negative battery, and
+/// the fault and simulation configs' own rules.
 fn check_manifest(m: &ReplayManifest) -> Result<(), String> {
-    if !(m.range.is_finite() && m.range > 0.0) {
-        return Err(format!("range must be positive, got {:?}", m.range));
+    if !(m.range > 0.0 && m.range <= MAX_COORD) {
+        return Err(format!(
+            "range must be positive and at most {MAX_COORD:e} m, got {:?}",
+            m.range
+        ));
     }
     match &m.topology {
         TopologyManifest::Uniform { side, .. } => {
-            if !(side.is_finite() && *side > 0.0) {
-                return Err(format!("field side must be positive, got {side:?}"));
+            if !(*side > 0.0 && *side <= MAX_COORD) {
+                return Err(format!(
+                    "field side must be positive and at most {MAX_COORD:e} m, got {side:?}"
+                ));
             }
         }
         TopologyManifest::Explicit { deployment } => {
             let mut points = deployment.sensors.iter().chain([&deployment.sink]);
-            if let Some(p) = points.find(|p| !p.is_finite()) {
-                return Err(format!("position {p:?} is not finite"));
+            if let Some(p) = points.find(|p| !(p.x.abs() <= MAX_COORD && p.y.abs() <= MAX_COORD)) {
+                return Err(format!(
+                    "position {p:?} must be finite and within ±{MAX_COORD:e} m"
+                ));
             }
         }
     }
@@ -752,6 +760,7 @@ mod tests {
     use super::*;
     use crate::faults::FaultConfig;
     use crate::trace::{parse_bundle, TopologyManifest, TraceHeader};
+    use mdg_geom::Point;
 
     fn record_bundle(seed: u64, loss: f64, deaths: f64, rounds: u64) -> String {
         let manifest = ReplayManifest {
@@ -947,6 +956,31 @@ mod tests {
             ReplayEngine::from_bundle(&bundle).unwrap_err(),
             ReplayError::MissingManifest
         );
+    }
+
+    #[test]
+    fn explicit_positions_beyond_max_coord_are_rejected() {
+        let deployment = mdg_net::DeploymentConfig::uniform(5, 50.0).generate(1);
+        for far in [Point::new(1e300, 0.0), Point::new(0.0, -2e12)] {
+            let mut sensors = deployment.clone();
+            sensors.sensors[2] = far;
+            let mut sink = deployment.clone();
+            sink.sink = far;
+            for deployment in [sensors, sink] {
+                let header = TraceHeader::new(ReplayManifest {
+                    topology: TopologyManifest::Explicit { deployment },
+                    range: 10.0,
+                    config: RuntimeConfig::default(),
+                });
+                let w = TraceWriter::with_header(Vec::new(), &header).unwrap();
+                let text = String::from_utf8(w.into_inner().unwrap()).unwrap();
+                let bundle = parse_bundle(&text).unwrap();
+                match ReplayEngine::from_bundle(&bundle) {
+                    Err(ReplayError::Plan(msg)) => assert!(msg.contains("position"), "{msg}"),
+                    other => panic!("{far:?}: {other:?}"),
+                }
+            }
+        }
     }
 
     #[test]

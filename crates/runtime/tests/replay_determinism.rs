@@ -177,7 +177,18 @@ fn out_of_range_manifest_values_are_errors_not_panics() {
         ("\"speed_mps\":1.0", "\"speed_mps\":0.0", "speed"),
         ("\"upload_secs\":0.5", "\"upload_secs\":-1.0", "upload time"),
         ("\"range\":30.0", "\"range\":-1.0", "range"),
+        ("\"range\":30.0", "\"range\":1e300", "range"),
         ("\"side\":180.0", "\"side\":-5.0", "side"),
+        // Finite, but every distance overflows: the tour build used to
+        // index out of bounds.
+        ("\"side\":180.0", "\"side\":1e300", "side"),
+        (
+            "\"packet_bits\":4000.0",
+            "\"packet_bits\":0.0",
+            "packet_bits",
+        ),
+        ("\"e_amp\":0.0000000001", "\"e_amp\":-1.0", "e_amp"),
+        ("\"alpha\":2.0", "\"alpha\":-2.0", "alpha"),
         ("\"backoff_secs\":0.2", "\"backoff_secs\":1e308", "backoff"),
         ("\"battery_j\":null", "\"battery_j\":-1.0", "battery"),
     ] {

@@ -52,4 +52,4 @@ pub mod session;
 pub use client::Client;
 pub use protocol::{ErrorBody, MetricsResponse, PlanSummary, Request, PROTOCOL_VERSION};
 pub use server::{ServeConfig, Server};
-pub use session::{DeltaError, DeltaMode, FieldSession, MAX_COORD};
+pub use session::{DeltaError, DeltaMode, FieldSession};

@@ -39,9 +39,9 @@
 //! (no reset).
 
 use crate::protocol::*;
-use crate::session::{DeltaError, DeltaMode, FieldSession, MAX_COORD};
+use crate::session::{DeltaError, DeltaMode, FieldSession};
 use mdg_core::PlannerConfig;
-use mdg_geom::Aabb;
+use mdg_geom::{Aabb, MAX_COORD};
 use mdg_net::{Deployment, DeploymentConfig};
 use mdg_obs::Profile;
 use std::collections::HashMap;

@@ -48,22 +48,10 @@ use mdg_core::{
     CandidateMode, GatheringPlan, HierConfig, HierPlan, PlannerConfig, ShdgPlanner, UNASSIGNED,
 };
 use mdg_cover::CoverageInstance;
-use mdg_geom::{Aabb, Point};
+use mdg_geom::{Aabb, Point, MAX_COORD};
 use mdg_net::{Deployment, Network};
 use mdg_runtime::{repair_plan, RepairConfig};
 use std::time::Instant;
-
-/// Largest coordinate magnitude a session accepts, in meters.
-///
-/// Distance arithmetic squares coordinates, so positions beyond ~1e12
-/// push `dist_sq` toward `f64` overflow and tour lengths degrade to
-/// `inf`/`NaN` — *after* the session has already mutated, which is how a
-/// finite-but-absurd `added` position used to corrupt a warm session.
-/// Rejecting astronomically large positions up front (like non-finite
-/// ones) keeps that failure in the validation phase, where the session
-/// is still untouched. 10⁹ km is eight orders of magnitude beyond any
-/// deployable field, so no legitimate request is affected.
-pub const MAX_COORD: f64 = 1e12;
 
 /// Why a delta failed — and, critically, whether the session survived it.
 #[derive(Debug, Clone, PartialEq, Eq)]

@@ -68,8 +68,8 @@ impl Default for SimConfig {
 }
 
 impl SimConfig {
-    /// Checks parameter sanity: a finite positive speed and finite
-    /// non-negative delays.
+    /// Checks parameter sanity: a finite positive speed, finite
+    /// non-negative delays and the radio model's own rules.
     pub fn validate(&self) -> Result<(), String> {
         if !(self.speed_mps.is_finite() && self.speed_mps > 0.0) {
             return Err(format!(
@@ -89,7 +89,7 @@ impl SimConfig {
                 self.hop_secs
             ));
         }
-        Ok(())
+        self.radio.validate()
     }
 }
 
@@ -111,5 +111,19 @@ mod tests {
         .validate()
         .unwrap_err();
         assert!(err.contains("speed"), "{err}");
+    }
+
+    #[test]
+    fn radio_rules_apply() {
+        let err = SimConfig {
+            radio: RadioModel {
+                packet_bits: 0.0,
+                ..RadioModel::default()
+            },
+            ..SimConfig::default()
+        }
+        .validate()
+        .unwrap_err();
+        assert!(err.contains("packet_bits"), "{err}");
     }
 }

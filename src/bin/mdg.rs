@@ -24,10 +24,10 @@
 //! `plan → fleet → render` needs no other state.
 
 use mobile_collectors::core::{fleet, PlanMetrics, PlannerConfig, ShdgPlanner};
+use mobile_collectors::geom::MAX_COORD;
 use mobile_collectors::net::{DeploymentConfig, Network, TopologyStats};
 use mobile_collectors::prelude::*;
 use mobile_collectors::render::{render_plan_svg, RenderOptions};
-use mobile_collectors::serve::MAX_COORD;
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use std::path::PathBuf;

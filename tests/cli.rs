@@ -808,6 +808,51 @@ fn serve_limits_that_no_request_could_meet_are_errors() {
     }
 }
 
+/// A trace header is a file from outside the program: a field side whose
+/// distances overflow, or a radio model `RadioModel::new` would refuse, is
+/// `error: …` and exit 1, not a panic or a replay of free transmissions.
+#[test]
+fn replay_rejects_out_of_range_manifests() {
+    let trace = tmp("replay_bad_src.jsonl");
+    let out = mdg(&[
+        "runtime",
+        "--n",
+        "30",
+        "--side",
+        "100",
+        "--range",
+        "30",
+        "--seed",
+        "5",
+        "--rounds",
+        "2",
+        "--trace",
+        trace.to_str().unwrap(),
+    ]);
+    assert!(out.status.success(), "{}", stderr(&out));
+    let text = std::fs::read_to_string(&trace).unwrap();
+    for (field, bad, name) in [
+        ("\"side\":100.0", "\"side\":1e300", "side"),
+        (
+            "\"packet_bits\":4000.0",
+            "\"packet_bits\":0.0",
+            "packet_bits",
+        ),
+        ("\"e_amp\":0.0000000001", "\"e_amp\":-1.0", "e_amp"),
+    ] {
+        assert_eq!(text.matches(field).count(), 1, "{field}");
+        let path = tmp(&format!("replay_bad_{name}.jsonl"));
+        std::fs::write(&path, text.replace(field, bad)).unwrap();
+        let out = mdg(&["replay", "--trace", path.to_str().unwrap(), "--self-check"]);
+        let err = stderr(&out);
+        assert_eq!(out.status.code(), Some(1), "{bad}: {err}");
+        assert!(
+            err.starts_with("error: ") && err.contains(name),
+            "{bad}: {err}"
+        );
+    }
+}
+
 #[test]
 fn replay_self_checks_and_sweeps_identically_across_thread_counts() {
     let trace = tmp("replay_trace.jsonl");

@@ -131,10 +131,9 @@ fn neighbor_list_path_bit_identical_across_thread_counts() {
 #[test]
 fn tour_aware_multi_block_path_bit_identical_across_thread_counts() {
     let _g = lock();
-    // 5 000 sensor-site candidates: the tour-aware cover's selection scan
-    // starts with three 2 048-candidate blocks and its insertion-cache
-    // update with two 4 096-candidate blocks, so block boundaries (and
-    // the candidates that straddle them) must not depend on the thread
+    // 5 000 sensor-site candidates: the tour-aware cover's grid holds a
+    // few hundred cells, sized from the instance alone, so the cells (and
+    // which of them a selection visits) must not depend on the thread
     // count.
     let net = Network::build(DeploymentConfig::uniform(5_000, 707.0).generate(7), 30.0);
     assert!(net.n_sensors() > 4_096);
