@@ -112,6 +112,17 @@ impl SpatialGrid {
         self.items.is_empty()
     }
 
+    /// Returns `true` if `other` lays its cells on the same lattice: the
+    /// same origin and cell side, compared bit for bit, and the same
+    /// column and row counts. A point then lands in the same cell of both
+    /// grids, and a query scans the same cells in the same order.
+    pub fn same_lattice(&self, other: &SpatialGrid) -> bool {
+        self.cell.to_bits() == other.cell.to_bits()
+            && self.origin.x.to_bits() == other.origin.x.to_bits()
+            && self.origin.y.to_bits() == other.origin.y.to_bits()
+            && (self.cols, self.rows) == (other.cols, other.rows)
+    }
+
     /// Indices of all points within `radius` of `query`, excluding none.
     /// `radius` must be ≤ the cell size for the 3×3 neighborhood scan to be
     /// exhaustive; larger radii scan proportionally more cells and remain

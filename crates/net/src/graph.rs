@@ -100,6 +100,12 @@ impl Csr {
         }
     }
 
+    /// The arrays `(offsets, targets, weights)` that [`Csr::from_rows`]
+    /// takes.
+    pub(crate) fn rows(&self) -> (&[u32], &[u32], &[f64]) {
+        (&self.offsets, &self.targets, &self.weights)
+    }
+
     /// Number of nodes.
     #[inline]
     pub fn n(&self) -> usize {

@@ -9,13 +9,18 @@
 //!
 //! # Row builder
 //!
-//! Each graph is written once, straight into exact-size CSR arrays, on
-//! `mdg-par`: one parallel pass counts every sensor's neighbours, a
-//! checked prefix sum turns the counts into offsets, and a fill pass
-//! writes the rows over fixed 2 048-row blocks, each block owning a
-//! disjoint slice of the arrays. The full graph takes its offsets from
-//! the sensor counts plus the sink, so only the sensor graph is counted.
-//! The graphs are bit-identical at any thread count.
+//! The full graph is written once, straight into exact-size CSR arrays,
+//! on `mdg-par`, from a grid over the sensors and the sink: one parallel
+//! pass counts every node's neighbours, a checked prefix sum turns the
+//! counts into offsets, and a fill pass writes the rows over fixed
+//! 2 048-row blocks, each block owning a disjoint slice of the arrays.
+//!
+//! The sensor graph is the full graph without the sink. When the sensor
+//! grid lies on the full grid's lattice (a sink inside the sensors'
+//! bounding box), it is cut out of the full graph: the rows the sink's
+//! row lists lose their sink entry, and the rows between them are copied
+//! as runs. Otherwise it is filled on its own grid, with offsets read off
+//! the full graph. The graphs are bit-identical at any thread count.
 //!
 //! Row `u` lists its lower-index neighbours in ascending order, then its
 //! higher-index ones in the grid's slot order. This is the order an edge
@@ -62,6 +67,7 @@ fn next_offset(acc: u32, degree: u32) -> u32 {
 /// CSR offsets of the unit-disk graph over `points`: one parallel pass
 /// counts each point's neighbours (itself excluded).
 fn row_offsets(points: &[Point], range: f64, grid: &SpatialGrid) -> Vec<u32> {
+    let _sp = mdg_obs::span("udg/count");
     let mut offsets = vec![0u32; points.len() + 1];
     mdg_par::par_chunks_mut(&mut offsets[1..], ROW_BLOCK, |start, degrees| {
         for (u, degree) in (start as u32..).zip(degrees.iter_mut()) {
@@ -74,31 +80,59 @@ fn row_offsets(points: &[Point], range: f64, grid: &SpatialGrid) -> Vec<u32> {
     offsets
 }
 
-/// Offsets of the full graph (the sensors, then the sink) from the sensor
-/// graph's degrees: a sensor's row gains the sink when
-/// `sink.dist_sq(p) ≤ range²`, the predicate the grid applies, and the
-/// sink's row holds every such sensor.
-fn offsets_with_sink(sensor_graph: &Csr, sensors: &[Point], sink: Point, range: f64) -> Vec<u32> {
-    let r_sq = range * range;
-    let mut offsets = Vec::with_capacity(sensors.len() + 2);
-    offsets.push(0);
-    let mut sink_degree = 0;
-    for (u, &p) in sensors.iter().enumerate() {
-        let to_sink = u32::from(sink.dist_sq(p) <= r_sq);
-        sink_degree += to_sink;
-        offsets.push(next_offset(
-            offsets[u],
-            sensor_graph.degree(u) as u32 + to_sink,
-        ));
+/// Offsets of the sensor graph from the full graph (the sensors, then
+/// the sink as its last node): a sensor's row loses the sink when the
+/// sink's row lists it. The sink's row holds only lower-index nodes, so
+/// it lists them in ascending order.
+fn offsets_without_sink(full: &Csr) -> Vec<u32> {
+    let sink = full.n() - 1;
+    let listed = full.neighbors(sink);
+    let mut dropped = 0;
+    full.rows().0[..=sink]
+        .iter()
+        .enumerate()
+        .map(|(u, &offset)| {
+            while listed.get(dropped).is_some_and(|&s| (s as usize) < u) {
+                dropped += 1;
+            }
+            offset - dropped as u32
+        })
+        .collect()
+}
+
+/// The sensor graph cut out of the full graph, on `offsets` from
+/// [`offsets_without_sink`]: every sensor row without the sink, and no
+/// sink row. Only the rows the sink's row lists change, so the rows
+/// between them are copied as runs.
+fn drop_sink(full: &Csr, offsets: Vec<u32>) -> Csr {
+    let _sp = mdg_obs::span("udg/derive");
+    let (full_offsets, full_targets, full_weights) = full.rows();
+    let sink = full.n() - 1;
+    let len = offsets[sink] as usize;
+    let (mut targets, mut weights) = (Vec::with_capacity(len), Vec::with_capacity(len));
+    let mut run = 0;
+    for &u in full.neighbors(sink) {
+        let row = full_offsets[u as usize] as usize..full_offsets[u as usize + 1] as usize;
+        let at = row.start
+            + full_targets[row]
+                .iter()
+                .position(|&v| v as usize == sink)
+                .expect("a row the sink lists lists the sink");
+        targets.extend_from_slice(&full_targets[run..at]);
+        weights.extend_from_slice(&full_weights[run..at]);
+        run = at + 1;
     }
-    offsets.push(next_offset(offsets[sensors.len()], sink_degree));
-    offsets
+    let end = full_offsets[sink] as usize;
+    targets.extend_from_slice(&full_targets[run..end]);
+    weights.extend_from_slice(&full_weights[run..end]);
+    Csr::from_rows(offsets, targets, weights)
 }
 
 /// Fills the rows `offsets` lays out, one [`ROW_BLOCK`]-row block per
 /// task, into exact-size arrays. Returns `None` if some row's query finds
 /// a different number of neighbours than `offsets` reserved for it.
 fn fill_rows(points: &[Point], range: f64, grid: &SpatialGrid, offsets: Vec<u32>) -> Option<Csr> {
+    let _sp = mdg_obs::span("udg/fill");
     let n = points.len();
     let mut targets = vec![0u32; offsets[n] as usize];
     let mut weights = vec![0.0f64; offsets[n] as usize];
@@ -202,21 +236,30 @@ impl Network {
     pub fn build(deployment: Deployment, range: f64) -> Self {
         assert_range(range);
         let sensors = &deployment.sensors;
-        let grid = SpatialGrid::build(sensors, range);
-        let sensor_graph = build_udg_with_grid(sensors, range, &grid);
-        // The full graph is filled from its own grid: that grid's slot
-        // order fixes the order of each row's higher-index neighbours.
         let mut all = Vec::with_capacity(sensors.len() + 1);
         all.extend_from_slice(sensors);
         all.push(deployment.sink);
-        let full_grid = SpatialGrid::build(&all, range);
-        let offsets = offsets_with_sink(&sensor_graph, sensors, deployment.sink, range);
-        // The derived offsets assume both grids find the same sensor
-        // pairs. A pair within an ulp of the range can straddle the cell
-        // boundaries of one grid and not the other's; the full grid then
-        // counts its own rows.
-        let full_graph = fill_rows(&all, range, &full_grid, offsets)
-            .unwrap_or_else(|| build_udg_with_grid(&all, range, &full_grid));
+        let (grid, full_grid) = {
+            let _sp = mdg_obs::span("udg/grid");
+            (
+                SpatialGrid::build(sensors, range),
+                SpatialGrid::build(&all, range),
+            )
+        };
+        let full_graph = build_udg_with_grid(&all, range, &full_grid);
+        let offsets = offsets_without_sink(&full_graph);
+        // On one lattice both grids hold the same buckets in the same slot
+        // order, the sink last in its own: the sensor grid's scan from a
+        // sensor is the full grid's without the sink, row order and
+        // weights included. On two lattices a pair of sensors within an
+        // ulp of the range can straddle the cell boundaries of one grid
+        // and not the other's; the sensor grid then counts its own rows.
+        let sensor_graph = if grid.same_lattice(&full_grid) {
+            drop_sink(&full_graph, offsets)
+        } else {
+            fill_rows(sensors, range, &grid, offsets)
+                .unwrap_or_else(|| build_udg_with_grid(sensors, range, &grid))
+        };
         Network {
             deployment,
             range,

@@ -305,7 +305,12 @@ pub fn read_request_line<R: BufRead>(reader: &mut R, max_bytes: usize) -> io::Re
     let mut line = Vec::new();
     Ok(
         match read_request_line_into(reader, max_bytes, &mut line)? {
-            LineStatus::Line => LineRead::Line(String::from_utf8_lossy(&line).into_owned()),
+            // A valid line (every reply the daemon writes) is taken as it
+            // is; only invalid bytes cost a lossy copy.
+            LineStatus::Line => LineRead::Line(
+                String::from_utf8(line)
+                    .unwrap_or_else(|e| String::from_utf8_lossy(e.as_bytes()).into_owned()),
+            ),
             LineStatus::Eof => LineRead::Eof,
             LineStatus::Oversized => LineRead::Oversized,
         },
@@ -401,6 +406,15 @@ mod tests {
             read_request_line(&mut r, 1024).unwrap(),
             LineRead::Eof
         ));
+    }
+
+    #[test]
+    fn invalid_utf8_reads_with_replacement_characters() {
+        let mut r = BufReader::new(&b"{\"a\":\"x\xffy\"}\n"[..]);
+        match read_request_line(&mut r, 1024).unwrap() {
+            LineRead::Line(l) => assert_eq!(l, "{\"a\":\"x\u{FFFD}y\"}"),
+            other => panic!("{other:?}"),
+        }
     }
 
     #[test]

@@ -576,6 +576,15 @@ fn plan_profile_prints_a_phase_tree_on_stderr() {
     for phase in ["plan", "cover", "tour", "assign"] {
         assert!(err.contains(phase), "missing phase `{phase}` in: {err}");
     }
+    // `network` splits into the build's phases; the centre sink derives
+    // the sensor graph from the full one.
+    for phase in ["network", "grid", "count", "fill", "derive"] {
+        assert!(
+            err.lines()
+                .any(|l| l.split_whitespace().next() == Some(phase)),
+            "missing phase row `{phase}` in: {err}"
+        );
+    }
     // Profiling must not leak into the deterministic stdout report.
     let plain = mdg(&["plan", "--n", "200", "--side", "200", "--range", "30"]);
     assert_eq!(stdout(&out), stdout(&plain), "profiling changed stdout");

@@ -22,7 +22,10 @@
 //! the same nodes, edges and per-row `(target, weight bits)` at every
 //! thread count as the edge-list construction the row builder replaced
 //! (kept here as the oracle). Row order matters: BFS parents, and with
-//! them both multi-hop baselines, break ties by neighbour order.
+//! them both multi-hop baselines, break ties by neighbour order. The
+//! sinks include the edges of the sensors' bounding box, where the build
+//! switches between deriving the sensor graph from the full graph and
+//! filling it on its own grid; the `udg/*` spans pin which path ran.
 //!
 //! A plan builds its working buffers afresh and frees them when it
 //! returns (`tests/retained_bytes.rs` holds a dropped plan to the live
@@ -32,7 +35,7 @@
 use mobile_collectors::core::{CoveringStrategy, GatheringPlan, PlannerConfig, ShdgPlanner};
 use mobile_collectors::geom::{Aabb, Point, SpatialGrid};
 use mobile_collectors::net::{Csr, Deployment, DeploymentConfig, Network, SinkPlacement, Topology};
-use mobile_collectors::par;
+use mobile_collectors::{obs, par};
 use std::sync::{Mutex, MutexGuard, OnceLock};
 
 const THREAD_COUNTS: [usize; 3] = [1, 2, 8];
@@ -253,6 +256,29 @@ fn sink_placements(side: f64) -> [(SinkPlacement, &'static str); 3] {
     ]
 }
 
+/// `x` one ulp up, for positive `x`.
+fn next_up(x: f64) -> f64 {
+    assert!(x > 0.0);
+    f64::from_bits(x.to_bits() + 1)
+}
+
+/// Sinks where `Network::build` picks its path, on `dep`'s sensors:
+/// exactly on their bounding box's max corner, one ulp beyond it, and on
+/// a sensor (a zero-weight edge to the sink).
+fn boundary_sinks(dep: &Deployment) -> Vec<(Point, &'static str)> {
+    let Some(bb) = Aabb::from_points(&dep.sensors) else {
+        return Vec::new();
+    };
+    vec![
+        (bb.max, "max-corner sink"),
+        (
+            Point::new(next_up(bb.max.x), next_up(bb.max.y)),
+            "sink one ulp beyond the max corner",
+        ),
+        (dep.sensors[dep.n() / 2], "sink on a sensor"),
+    ]
+}
+
 #[test]
 fn graphs_bit_identical_to_the_edge_list_build_across_thread_counts() {
     let _g = lock();
@@ -266,6 +292,14 @@ fn graphs_bit_identical_to_the_edge_list_build_across_thread_counts() {
                 ..DeploymentConfig::uniform(n, side)
             };
             let dep = cfg.generate(n as u64 + 3);
+            assert_graphs_match_reference(&dep, 30.0, &format!("n={n}, {where_}"));
+        }
+        let dep = DeploymentConfig::uniform(n, side).generate(n as u64 + 3);
+        for (sink, where_) in boundary_sinks(&dep) {
+            let dep = Deployment {
+                sink,
+                ..dep.clone()
+            };
             assert_graphs_match_reference(&dep, 30.0, &format!("n={n}, {where_}"));
         }
     }
@@ -307,8 +341,9 @@ fn graphs_bit_identical_where_the_two_grids_disagree() {
     // Sensors 1 and 2 are exactly one range apart in floating point
     // (2 - (1 - 2⁻⁵³) rounds to 1). The sensor grid puts them two cells
     // apart and never pairs them; the full grid, shifted by the sink at
-    // x = -0.5, puts them in adjacent cells and does. The full graph's
-    // rows then differ from the sensor graph's plus the sink.
+    // x = -0.5, puts them in adjacent cells and does. The offsets read
+    // off the full graph then reserve a pair the sensor grid never finds,
+    // and the sensor grid counts its own rows.
     let dep = Deployment {
         sensors: vec![
             Point::new(0.0, 0.0),
@@ -322,5 +357,88 @@ fn graphs_bit_identical_where_the_two_grids_disagree() {
     all.push(dep.sink);
     assert!(!reference_udg(&dep.sensors, 1.0).has_edge(1, 2));
     assert!(reference_udg(&all, 1.0).has_edge(1, 2));
+    assert_eq!(build_path(&dep, 1.0), (false, 2));
     assert_graphs_match_reference(&dep, 1.0, "grids disagree");
+}
+
+/// Builds `dep`'s network with spans on; returns whether the sensor graph
+/// was cut out of the full graph, and how many times a grid was counted.
+fn build_path(dep: &Deployment, range: f64) -> (bool, u64) {
+    obs::reset();
+    obs::set_enabled(true);
+    Network::build(dep.clone(), range);
+    obs::set_enabled(false);
+    let spans = obs::snapshot().spans;
+    let calls = |path: &str| spans.iter().find(|s| s.path == path).map_or(0, |s| s.calls);
+    (calls("udg/derive") == 1, calls("udg/count"))
+}
+
+#[test]
+fn a_sink_on_the_sensor_lattice_derives_the_sensor_graph() {
+    let _g = lock();
+    // The fast path is chosen by the grids alone; the spans show which
+    // one ran, so it cannot be lost without a test failing.
+    let field = |sink| {
+        DeploymentConfig {
+            sink,
+            ..DeploymentConfig::uniform(2_000, 447.0)
+        }
+        .generate(5)
+    };
+    assert_eq!(build_path(&field(SinkPlacement::Center), 30.0), (true, 1));
+    assert_eq!(build_path(&field(SinkPlacement::Corner), 30.0), (false, 1));
+
+    // Sensors spanning one ulp short of two 30 m cells each way. A sink
+    // on their max corner keeps the sensor grid's 2 × 2 lattice. One ulp
+    // beyond it in x adds a column, in y a row; one ulp before the origin
+    // on either axis moves the origin alone. The lattices are compared bit
+    // for bit.
+    let w = f64::from_bits(60.0f64.to_bits() - 1);
+    assert_eq!(
+        ((w / 30.0).floor(), (next_up(w) / 30.0).floor()),
+        (1.0, 2.0)
+    );
+    let sensors = vec![
+        Point::new(0.0, 0.0),
+        Point::new(29.0, 31.0),
+        Point::new(30.0, 30.0),
+        Point::new(w, 45.0),
+        Point::new(w, w),
+    ];
+    for (sink, derived, label) in [
+        (Point::new(w, w), true, "max-corner sink on a cell boundary"),
+        (
+            Point::new(next_up(w), w),
+            false,
+            "sink one ulp past the last column",
+        ),
+        (
+            Point::new(w, next_up(w)),
+            false,
+            "sink one ulp past the last row",
+        ),
+        (
+            Point::new(-f64::from_bits(1), 30.0),
+            false,
+            "sink one ulp left of the origin",
+        ),
+        (
+            Point::new(30.0, -f64::from_bits(1)),
+            false,
+            "sink one ulp below the origin",
+        ),
+    ] {
+        let dep = Deployment {
+            sensors: sensors.clone(),
+            sink,
+            field: Aabb::square(60.0),
+        };
+        assert_eq!(build_path(&dep, 30.0), (derived, 1), "{label}");
+        assert_graphs_match_reference(&dep, 30.0, label);
+    }
+
+    // A range far below the spacing: the cell-count cap sizes the two
+    // grids' cells apart, though the sink sits inside the sensors' box.
+    let sparse = DeploymentConfig::uniform(300, 300.0).generate(21);
+    assert_eq!(build_path(&sparse, 0.001), (false, 1));
 }
