@@ -9,6 +9,10 @@
 
 use crate::bbox::Aabb;
 use crate::point::Point;
+use std::ops::Range;
+
+/// Slots one hit mask compares: a bit of a `u64` each.
+const MASK_SLOTS: usize = 64;
 
 /// A uniform grid over a point set, bucketing point indices by cell.
 ///
@@ -141,35 +145,66 @@ impl SpatialGrid {
     /// Visits `(index, dist_sq)` of every point within `radius` of `query`
     /// — the distance is already computed for the filter, so callers that
     /// need it (k-NN) avoid a second scan of the point data.
+    ///
+    /// Hits arrive row by row of the cell window, rows ascending and slots
+    /// ascending within a row: the unit-disk graph's row order and every
+    /// coverage set are read in this order, so it is part of the output.
     pub fn for_each_within_d<F: FnMut(u32, f64)>(&self, query: Point, radius: f64, mut f: F) {
-        if self.items.is_empty() {
-            return;
-        }
         let r_sq = radius * radius;
-        let reach = (radius / self.cell).ceil() as i64;
-        let qcx = ((query.x - self.origin.x) / self.cell).floor() as i64;
-        let qcy = ((query.y - self.origin.y) / self.cell).floor() as i64;
-        for cy in (qcy - reach)..=(qcy + reach) {
-            if cy < 0 || cy >= self.rows as i64 {
-                continue;
-            }
-            for cx in (qcx - reach)..=(qcx + reach) {
-                if cx < 0 || cx >= self.cols as i64 {
-                    continue;
-                }
-                let c = cy as usize * self.cols + cx as usize;
-                let lo = self.starts[c] as usize;
-                let hi = self.starts[c + 1] as usize;
-                // Slot-order scan: xs/ys stream contiguously; `items` is
-                // only touched for the (rarer) hits.
-                for s in lo..hi {
-                    let d = Point::new(self.xs[s], self.ys[s]).dist_sq(query);
-                    if d <= r_sq {
-                        f(self.items[s], d);
-                    }
+        for run in self.row_runs(query, radius) {
+            let (xs, ys) = (&self.xs[run.clone()], &self.ys[run.clone()]);
+            let items = &self.items[run];
+            let chunks = xs.chunks(MASK_SLOTS).zip(ys.chunks(MASK_SLOTS));
+            for ((xs, ys), items) in chunks.zip(items.chunks(MASK_SLOTS)) {
+                let mut mask = hit_mask(xs, ys, query, r_sq);
+                while mask != 0 {
+                    let k = mask.trailing_zeros() as usize;
+                    mask &= mask - 1;
+                    f(items[k], Point::new(xs[k], ys[k]).dist_sq(query));
                 }
             }
         }
+    }
+
+    /// Number of points within `radius` of `query`: the hits
+    /// [`SpatialGrid::for_each_within_d`] would visit, counted without
+    /// visiting them.
+    pub fn count_within(&self, query: Point, radius: f64) -> usize {
+        let r_sq = radius * radius;
+        self.row_runs(query, radius)
+            .map(|run| {
+                let (xs, ys) = (&self.xs[run.clone()], &self.ys[run]);
+                xs.iter()
+                    .zip(ys)
+                    .map(|(&x, &y)| usize::from(Point::new(x, y).dist_sq(query) <= r_sq))
+                    .sum::<usize>()
+            })
+            .sum()
+    }
+
+    /// The slot runs a query of `radius` around `query` scans, one per
+    /// lattice row of its cell window, rows ascending. The window reaches
+    /// `ceil(radius / cell)` cells each way and is clamped to the lattice
+    /// before any cell is visited; a row's cells are adjacent buckets, so
+    /// its part of the window is one run of `starts`.
+    fn row_runs(&self, query: Point, radius: f64) -> impl Iterator<Item = Range<usize>> + '_ {
+        let reach = (radius / self.cell).ceil() as i64;
+        // The cells `lo..hi` of one axis, empty when the window misses the
+        // lattice. Saturating, so a query at any distance, and a ring any
+        // wide, costs no more than the lattice.
+        let window = |q: f64, origin: f64, len: usize| {
+            let c = ((q - origin) / self.cell).floor() as i64;
+            let lo = c.saturating_sub(reach).max(0);
+            let hi = c.saturating_add(reach).min(len as i64 - 1);
+            lo as usize..(hi + 1).max(lo) as usize
+        };
+        let cols = window(query.x, self.origin.x, self.cols);
+        let rows = window(query.y, self.origin.y, self.rows);
+        let rows = if cols.is_empty() { 0..0 } else { rows };
+        rows.map(move |cy| {
+            let row = cy * self.cols;
+            self.starts[row + cols.start] as usize..self.starts[row + cols.end] as usize
+        })
     }
 
     /// Indices of the `k` points nearest to `query`, sorted by ascending
@@ -230,6 +265,19 @@ impl SpatialGrid {
             radius *= 2.0;
         }
     }
+}
+
+/// Bit `k` is set iff slot `k` of the chunk lies within `r_sq` of
+/// `query`: every slot is compared, and no branch depends on the data.
+#[inline]
+fn hit_mask(xs: &[f64], ys: &[f64], query: Point, r_sq: f64) -> u64 {
+    debug_assert!(xs.len() <= MASK_SLOTS);
+    xs.iter()
+        .zip(ys)
+        .enumerate()
+        .fold(0, |mask, (k, (&x, &y))| {
+            mask | u64::from(Point::new(x, y).dist_sq(query) <= r_sq) << k
+        })
 }
 
 /// Sizes a lattice of square cells over the bounding box of `points`, for
@@ -360,17 +408,22 @@ mod tests {
         all.into_iter().map(|(_, i)| i).collect()
     }
 
-    #[test]
-    fn k_nearest_matches_brute_force() {
-        // Deterministic pseudo-random scatter (LCG) over a 100 m square.
-        let mut state = 12345u64;
+    /// Deterministic pseudo-random scatter (LCG) of `n` points over a
+    /// `side` m square.
+    fn scatter(n: usize, side: f64, seed: u64) -> Vec<Point> {
+        let mut state = seed;
         let mut next = || {
             state = state
                 .wrapping_mul(6364136223846793005)
                 .wrapping_add(1442695040888963407);
-            (state >> 11) as f64 / (1u64 << 53) as f64 * 100.0
+            (state >> 11) as f64 / (1u64 << 53) as f64 * side
         };
-        let pts: Vec<Point> = (0..80).map(|_| Point::new(next(), next())).collect();
+        (0..n).map(|_| Point::new(next(), next())).collect()
+    }
+
+    #[test]
+    fn k_nearest_matches_brute_force() {
+        let pts = scatter(80, 100.0, 12345);
         let grid = SpatialGrid::build(&pts, 10.0);
         for qi in [0usize, 7, 33, 79] {
             for k in [1usize, 3, 8, 80, 200] {
@@ -475,6 +528,194 @@ mod tests {
                     "query {q} k {k}"
                 );
             }
+        }
+    }
+
+    impl SpatialGrid {
+        /// The cell-by-cell scan: every cell of the window in turn, a
+        /// branch per slot. The oracle for the kernel's hits, their order
+        /// and their distance bits.
+        fn for_each_within_reference<F: FnMut(u32, f64)>(
+            &self,
+            query: Point,
+            radius: f64,
+            mut f: F,
+        ) {
+            if self.items.is_empty() {
+                return;
+            }
+            let r_sq = radius * radius;
+            let reach = (radius / self.cell).ceil() as i64;
+            let qcx = ((query.x - self.origin.x) / self.cell).floor() as i64;
+            let qcy = ((query.y - self.origin.y) / self.cell).floor() as i64;
+            for cy in (qcy - reach)..=(qcy + reach) {
+                if cy < 0 || cy >= self.rows as i64 {
+                    continue;
+                }
+                for cx in (qcx - reach)..=(qcx + reach) {
+                    if cx < 0 || cx >= self.cols as i64 {
+                        continue;
+                    }
+                    let c = cy as usize * self.cols + cx as usize;
+                    for s in self.starts[c] as usize..self.starts[c + 1] as usize {
+                        let d = Point::new(self.xs[s], self.ys[s]).dist_sq(query);
+                        if d <= r_sq {
+                            f(self.items[s], d);
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    /// Asserts that `for_each_within_d` visits the reference's
+    /// `(index, dist² bits)` sequence at `query` and that `count_within`
+    /// counts it. Returns the hit count.
+    fn assert_kernel_matches(grid: &SpatialGrid, query: Point, radius: f64) -> usize {
+        let mut want = Vec::new();
+        grid.for_each_within_reference(query, radius, |i, d| want.push((i, d.to_bits())));
+        let mut got = Vec::new();
+        grid.for_each_within_d(query, radius, |i, d| got.push((i, d.to_bits())));
+        assert_eq!(got, want, "query {query} radius {radius}");
+        assert_eq!(
+            grid.count_within(query, radius),
+            want.len(),
+            "count at query {query} radius {radius}"
+        );
+        want.len()
+    }
+
+    /// Radii of half a cell up to three cells of `grid`'s own side, which
+    /// the lattice may have grown past the requested one.
+    fn radii(grid: &SpatialGrid) -> [f64; 5] {
+        let c = grid.cell;
+        [0.5 * c, 0.999 * c, c, 2.0 * c, 3.0 * c]
+    }
+
+    #[test]
+    fn kernel_matches_the_cell_scan_on_uniform_fields() {
+        for (n, side, cell, seed) in [
+            (2_000, 300.0, 10.0, 1),
+            (500, 100.0, 3.0, 2),
+            (3_000, 1_000.0, 30.0, 3),
+        ] {
+            let pts = scatter(n, side, seed);
+            let grid = SpatialGrid::build(&pts, cell);
+            let probes = scatter(200, 1.4 * side, seed + 100);
+            let mut hits = 0;
+            for r in radii(&grid) {
+                for &q in pts.iter().step_by(7) {
+                    hits += assert_kernel_matches(&grid, q, r);
+                }
+                for &q in &probes {
+                    let q = Point::new(q.x - 0.2 * side, q.y - 0.2 * side);
+                    hits += assert_kernel_matches(&grid, q, r);
+                }
+            }
+            assert!(hits > n, "the queries hit something");
+        }
+    }
+
+    #[test]
+    fn kernel_matches_across_mask_boundaries() {
+        // A blob packed into one cell makes one bucket, and so one row
+        // run, longer than a mask: hits fall on both sides of each
+        // 64-slot boundary and on its last bit. The origin is pinned at
+        // (0, 0), so the blob lies inside the cell [50, 55)².
+        for blob in [64, 65, 128, 300] {
+            let mut pts = scatter(400, 100.0, 7);
+            pts.push(Point::ORIGIN);
+            let centre = Point::new(51.0, 51.0);
+            pts.extend(
+                scatter(blob, 1.8, blob as u64)
+                    .iter()
+                    .map(|p| Point::new(50.1 + p.x, 50.1 + p.y)),
+            );
+            let grid = SpatialGrid::build(&pts, 5.0);
+            assert!(grid.row_runs(centre, 1.0).any(|run| run.len() >= blob));
+            assert!(assert_kernel_matches(&grid, centre, 1.5) >= blob);
+            for r in radii(&grid).into_iter().chain([0.3]) {
+                for &q in pts.iter().rev().take(blob).step_by(3) {
+                    assert_kernel_matches(&grid, q, r);
+                }
+                for dx in [-4.0, -1.5, -0.6, 0.0, 0.7, 1.2, 4.5] {
+                    assert_kernel_matches(&grid, Point::new(centre.x + dx, centre.y - dx), r);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn kernel_matches_outside_the_lattice() {
+        let pts = scatter(300, 100.0, 11);
+        let grid = SpatialGrid::build(&pts, 10.0);
+        // Every side and corner, just beyond the edge, within a few cells
+        // of it, and far away.
+        let offsets = [-1e6, -25.0, -5.0, 50.0, 105.0, 125.0, 1e6];
+        for &x in &offsets {
+            for &y in &offsets {
+                for r in radii(&grid).into_iter().chain([40.0, 1e3]) {
+                    assert_kernel_matches(&grid, Point::new(x, y), r);
+                }
+            }
+        }
+        assert_kernel_matches(&grid, Point::new(f64::NAN, 50.0), 10.0);
+        // The reference overflows its cell arithmetic at infinity; the
+        // kernel finds nothing there, as a linear scan would.
+        for q in [
+            Point::new(f64::INFINITY, 50.0),
+            Point::new(50.0, f64::NEG_INFINITY),
+        ] {
+            assert_eq!(grid.count_within(q, 10.0), 0);
+            grid.for_each_within_d(q, 10.0, |i, _| panic!("hit {i} at infinity"));
+        }
+    }
+
+    #[test]
+    fn kernel_matches_on_single_row_and_single_column_lattices() {
+        let line = scatter(500, 500.0, 5);
+        for pts in [
+            line.iter()
+                .map(|p| Point::new(p.x, 0.0))
+                .collect::<Vec<_>>(),
+            line.iter().map(|p| Point::new(0.0, p.y)).collect(),
+            line.iter().map(|p| Point::new(p.x, p.y / 100.0)).collect(),
+        ] {
+            let grid = SpatialGrid::build(&pts, 10.0);
+            assert!(grid.rows == 1 || grid.cols == 1);
+            for r in radii(&grid) {
+                for &q in pts.iter().step_by(5) {
+                    assert_kernel_matches(&grid, q, r);
+                    assert_kernel_matches(&grid, Point::new(q.x + 3.0, q.y - 4.0), r);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn kernel_matches_on_an_integer_lattice_at_exactly_r() {
+        // Pairs exactly R apart sit on the predicate's boundary (`≤`):
+        // both scans must keep them.
+        let pts: Vec<Point> = (0..16)
+            .flat_map(|y| (0..16).map(move |x| Point::new(x as f64, y as f64)))
+            .collect();
+        for cell in [1.0, 2.0] {
+            let grid = SpatialGrid::build(&pts, cell);
+            for r in [1.0, 2.0, 3.0] {
+                for &q in &pts {
+                    assert_kernel_matches(&grid, q, r);
+                }
+            }
+            // Itself and its four neighbours at exactly 1 m.
+            assert_eq!(assert_kernel_matches(&grid, Point::new(7.0, 7.0), 1.0), 5);
+        }
+    }
+
+    #[test]
+    fn kernel_on_an_empty_grid_finds_nothing() {
+        let grid = SpatialGrid::build(&[], 1.0);
+        for q in [Point::ORIGIN, Point::new(-3.0, 2.0), Point::new(1e9, 1e9)] {
+            assert_eq!(assert_kernel_matches(&grid, q, 5.0), 0);
         }
     }
 }

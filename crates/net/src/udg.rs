@@ -11,7 +11,8 @@
 //!
 //! The full graph is written once, straight into exact-size CSR arrays,
 //! on `mdg-par`, from a grid over the sensors and the sink: one parallel
-//! pass counts every node's neighbours, a checked prefix sum turns the
+//! pass counts every node's neighbours with
+//! [`SpatialGrid::count_within`], a checked prefix sum turns the
 //! counts into offsets, and a fill pass writes the rows over fixed
 //! 2 048-row blocks, each block owning a disjoint slice of the arrays.
 //!
@@ -70,8 +71,11 @@ fn row_offsets(points: &[Point], range: f64, grid: &SpatialGrid) -> Vec<u32> {
     let _sp = mdg_obs::span("udg/count");
     let mut offsets = vec![0u32; points.len() + 1];
     mdg_par::par_chunks_mut(&mut offsets[1..], ROW_BLOCK, |start, degrees| {
-        for (u, degree) in (start as u32..).zip(degrees.iter_mut()) {
-            grid.for_each_within(points[u as usize], range, |j| *degree += u32::from(j != u));
+        for (&p, degree) in points[start..].iter().zip(degrees.iter_mut()) {
+            // The query counts `p` itself exactly when the predicate holds
+            // for it; a non-finite `p` meets nobody, itself included.
+            let own = usize::from(p.dist_sq(p) <= range * range);
+            *degree = (grid.count_within(p, range) - own) as u32;
         }
     });
     for u in 0..points.len() {
@@ -435,6 +439,32 @@ mod tests {
             count >= 3,
             "bands 85 m apart cannot link at R=30, got {count} components"
         );
+    }
+
+    #[test]
+    fn a_non_finite_sensor_meets_nobody() {
+        // The count pass subtracts a point's own hit only when the
+        // predicate holds for it, which it never does for NaN or ∞: the
+        // degrees stay a linear scan's, with no underflow, and the fill
+        // agrees with the count.
+        let r = 30.0;
+        for bad in [
+            Point::new(f64::NAN, 40.0),
+            Point::new(60.0, f64::NAN),
+            Point::new(f64::INFINITY, 10.0),
+        ] {
+            let mut d = DeploymentConfig::uniform(200, 150.0).generate(4);
+            d.sensors[17] = bad;
+            let net = Network::build(d.clone(), r);
+            for (u, &p) in d.sensors.iter().enumerate() {
+                let degree = (d.sensors.iter().enumerate())
+                    .filter(|&(j, q)| j != u && q.dist_sq(p) <= r * r)
+                    .count();
+                assert_eq!(net.sensor_graph.degree(u), degree, "{bad}: sensor {u}");
+            }
+            assert_eq!(net.sensor_graph.degree(17), 0);
+            assert!(net.sensor_graph.m() > 0);
+        }
     }
 
     #[test]

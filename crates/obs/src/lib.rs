@@ -548,11 +548,8 @@ impl Profile {
             let name_w = self
                 .spans
                 .iter()
-                .map(|s| {
-                    let depth = s.path.matches('/').count();
-                    let name_len = s.path.rsplit('/').next().unwrap_or(&s.path).len();
-                    2 * depth + name_len
-                })
+                .flat_map(|s| s.path.split('/').enumerate())
+                .map(|(depth, name)| 2 * depth + name.len())
                 .max()
                 .unwrap_or(0)
                 .max(12);
@@ -569,9 +566,42 @@ impl Profile {
                 );
             }
             out.push('\n');
+            // The path of the row printed last, split into its levels.
+            let mut above: Vec<&str> = Vec::new();
             for s in &self.spans {
-                let depth = s.path.matches('/').count();
-                let name = s.path.rsplit('/').next().unwrap_or(&s.path);
+                let levels: Vec<&str> = s.path.split('/').collect();
+                let depth = levels.len() - 1;
+                // A level with no span of its own (`udg` of `network/udg/count`)
+                // gets a name-only row, so every row sits under its parent.
+                let shared = above
+                    .iter()
+                    .zip(&levels)
+                    .take_while(|(a, b)| a == b)
+                    .count();
+                for k in shared..depth {
+                    let level = levels[..=k].join("/");
+                    if self
+                        .spans
+                        .binary_search_by(|t| t.path.as_str().cmp(&level))
+                        .is_ok()
+                    {
+                        continue;
+                    }
+                    let _ = write!(
+                        out,
+                        "{:name_w$}  {:>10}  {:>8}  {:>6}  {:>12}",
+                        format!("{}{}", "  ".repeat(k), levels[k]),
+                        "-",
+                        "-",
+                        "-",
+                        "-"
+                    );
+                    if with_alloc {
+                        let _ = write!(out, "  {:>10}  {:>10}  {:>10}", "-", "-", "-");
+                    }
+                    out.push('\n');
+                }
+                let name = levels[depth];
                 let indent = "  ".repeat(depth);
                 let ms = s.wall_nanos as f64 / 1e6;
                 let pct = if root_total > 0 {
@@ -603,6 +633,7 @@ impl Profile {
                     );
                 }
                 out.push('\n');
+                above = levels;
             }
         }
         if !self.counters.is_empty() {
@@ -892,6 +923,55 @@ mod tests {
             assert!(lines
                 .iter()
                 .any(|l| l.contains("\"kind\":\"hist\"") && l.contains("\"buckets\":[[7,1]]")));
+        });
+    }
+
+    #[test]
+    fn render_tree_prints_levels_without_a_span_of_their_own() {
+        with_clean_obs(|| {
+            {
+                let _s = span("network");
+                drop(span("udg/count"));
+                drop(span("udg/fill"));
+            }
+            drop(span("delta/rebuild"));
+            let tree = snapshot().render_tree();
+            let rows: Vec<(usize, Vec<&str>)> = tree
+                .lines()
+                .skip(1)
+                .map(|l| {
+                    (
+                        l.len() - l.trim_start().len(),
+                        l.split_whitespace().collect(),
+                    )
+                })
+                .collect();
+            let names: Vec<(usize, &str)> = rows.iter().map(|(i, r)| (*i, r[0])).collect();
+            assert_eq!(
+                names,
+                [
+                    (0, "delta"),
+                    (2, "rebuild"),
+                    (0, "network"),
+                    (2, "udg"),
+                    (4, "count"),
+                    (4, "fill"),
+                ],
+                "{tree}"
+            );
+            // Name-only rows carry `-` in every number column; span rows
+            // carry numbers.
+            for (_, row) in rows
+                .iter()
+                .filter(|(_, r)| ["delta", "udg"].contains(&r[0]))
+            {
+                assert_eq!(row[1..], ["-"; 4], "{tree}");
+            }
+            assert!(rows[2].1[2] == "1", "{tree}");
+            // The JSONL keeps the recorded paths alone.
+            let jsonl = snapshot().to_jsonl();
+            assert_eq!(jsonl.lines().count(), 4);
+            assert!(!jsonl.contains("\"path\":\"network/udg\","));
         });
     }
 

@@ -109,6 +109,9 @@ pub struct PlanSummary {
     /// re-plan of the live sub-network), or `noop` (nothing to do).
     pub mode: String,
     /// Monotonic plan generation within the session (0 = cold plan).
+    /// Every acknowledged `delta` advances it by exactly one, a `noop`
+    /// included, so a gap in the generations a client sees is a missed
+    /// update.
     pub generation: u64,
     /// Total sensors the session tracks (alive + dead).
     pub n_sensors: u64,

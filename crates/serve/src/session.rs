@@ -360,6 +360,10 @@ impl FieldSession {
         }
         let range_changed = new_range.is_some_and(|r| (r - self.range()).abs() > 1e-12);
         if died.is_empty() && added.is_empty() && !range_changed {
+            // Nothing to apply, but the delta is acknowledged like any
+            // other: its generation is how a client detects a missed one.
+            self.generation += 1;
+            self.stats.deltas += 1;
             return Ok(DeltaOutcome {
                 mode: DeltaMode::Noop,
                 elapsed_ms: t0.elapsed().as_secs_f64() * 1e3,
@@ -568,7 +572,24 @@ mod tests {
         let mut s = session(100, 2);
         let out = s.apply_delta(&[], &[], None).unwrap();
         assert_eq!(out.mode, DeltaMode::Noop);
-        assert_eq!(s.generation, 0);
+        assert_eq!(s.generation, 1);
+    }
+
+    #[test]
+    fn every_acknowledged_noop_advances_the_generation() {
+        for mut s in [session(100, 2), hier_session(400, 2)] {
+            let victim = 0;
+            s.apply_delta(&[victim], &[], None).unwrap();
+            let (generation, deltas) = (s.generation, s.stats.deltas);
+            let tour = s.plan().tour_length;
+            let empty = s.apply_delta(&[], &[], None).unwrap();
+            assert_eq!(empty.mode, DeltaMode::Noop, "{}", s.kind());
+            assert_eq!((s.generation, s.stats.deltas), (generation + 1, deltas + 1));
+            let repeated = s.apply_delta(&[victim], &[], None).unwrap();
+            assert_eq!(repeated.mode, DeltaMode::Noop, "{}", s.kind());
+            assert_eq!((s.generation, s.stats.deltas), (generation + 2, deltas + 2));
+            assert_eq!(s.plan().tour_length.to_bits(), tour.to_bits());
+        }
     }
 
     #[test]

@@ -576,9 +576,9 @@ fn plan_profile_prints_a_phase_tree_on_stderr() {
     for phase in ["plan", "cover", "tour", "assign"] {
         assert!(err.contains(phase), "missing phase `{phase}` in: {err}");
     }
-    // `network` splits into the build's phases; the centre sink derives
-    // the sensor graph from the full one.
-    for phase in ["network", "grid", "count", "fill", "derive"] {
+    // `network` splits into the build's phases under a `udg` row of its
+    // own; the centre sink derives the sensor graph from the full one.
+    for phase in ["network", "udg", "grid", "count", "fill", "derive"] {
         assert!(
             err.lines()
                 .any(|l| l.split_whitespace().next() == Some(phase)),
