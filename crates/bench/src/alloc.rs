@@ -93,6 +93,11 @@ pub fn alloc(p: &Params) -> Table {
     );
     let was_counting = counting();
     set_counting(true);
+    // A daemon started earlier in the process (S4, S6) leaves span
+    // recording on, and every span then allocates its path: the budget
+    // is the planner's, so recording is off while it is counted.
+    let was_recording = mdg_obs::enabled();
+    mdg_obs::set_enabled(false);
     for &n in sweep(p) {
         let side = (n as f64).sqrt() * 10.0;
         let deployment = DeploymentConfig::uniform(n, side).generate(p.base_seed);
@@ -154,6 +159,7 @@ pub fn alloc(p: &Params) -> Table {
         );
     }
     set_counting(was_counting);
+    mdg_obs::set_enabled(was_recording);
     let threads = mdg_par::threads();
     t.notes = format!(
         "Counting global allocator over one hierarchical session per point (hier_threshold = 0), \

@@ -24,6 +24,7 @@ pub mod scale_par;
 pub mod schemes;
 pub mod serve;
 pub mod serve_hier;
+pub mod surface;
 pub mod table;
 
 pub use params::Params;
@@ -57,6 +58,7 @@ pub const ALL_EXPERIMENTS: &[&str] = &[
     "alloc",
     "replay",
     "profile",
+    "surface",
 ];
 
 /// Runs one experiment by id.
@@ -88,6 +90,7 @@ pub fn run_experiment(id: &str, params: &Params) -> Option<Table> {
         "alloc" => Some(alloc::alloc(params)),
         "replay" => Some(replay::replay(params)),
         "profile" => Some(profile::profile(params)),
+        "surface" => Some(surface::surface(params)),
         _ => None,
     }
 }

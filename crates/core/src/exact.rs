@@ -13,7 +13,7 @@
 
 use crate::error::PlanError;
 use crate::plan::{GatheringPlan, PollingPoint};
-use mdg_cover::{BitSet, CoverageInstance};
+use mdg_cover::CoverageInstance;
 use mdg_geom::{hull_perimeter, Point};
 use mdg_net::Network;
 use mdg_tour::{exact::HELD_KARP_MAX, held_karp, MatrixCost};
@@ -58,11 +58,15 @@ pub fn exact_plan(net: &Network) -> Result<GatheringPlan, PlanError> {
         .map(|pp| pp.candidate)
         .collect();
 
-    // Per-target coverer lists.
+    // Each candidate's covered set as a bit mask (n ≤ EXACT_MAX_SENSORS
+    // < 32), and per-target coverer lists in candidate order.
+    let masks: Vec<u32> = (0..inst.n_candidates())
+        .map(|c| inst.covers(c).iter().fold(0, |m, &t| m | 1 << t))
+        .collect();
     let coverers: Vec<Vec<usize>> = (0..n)
         .map(|t| {
             (0..inst.n_candidates())
-                .filter(|&c| inst.candidates[c].covers.get(t))
+                .filter(|&c| masks[c] >> t & 1 == 1)
                 .collect()
         })
         .collect();
@@ -70,6 +74,7 @@ pub fn exact_plan(net: &Network) -> Result<GatheringPlan, PlanError> {
     struct Search<'a> {
         inst: &'a CoverageInstance,
         sink: Point,
+        masks: &'a [u32],
         coverers: &'a [Vec<usize>],
         best_len: f64,
         best_sel: Vec<usize>,
@@ -81,7 +86,7 @@ pub fn exact_plan(net: &Network) -> Result<GatheringPlan, PlanError> {
         fn optimal_tour_len(&self, sel: &[usize]) -> f64 {
             let mut pts = Vec::with_capacity(sel.len() + 1);
             pts.push(self.sink);
-            pts.extend(sel.iter().map(|&c| self.inst.candidates[c].pos));
+            pts.extend(sel.iter().map(|&c| self.inst.pos(c)));
             if pts.len() > HELD_KARP_MAX {
                 // More polling points than Held–Karp handles can only
                 // happen with > HELD_KARP_MAX-1 selections; bound instances
@@ -93,7 +98,7 @@ pub fn exact_plan(net: &Network) -> Result<GatheringPlan, PlanError> {
             held_karp(&cost).1
         }
 
-        fn recurse(&mut self, covered: &BitSet, chosen: &mut Vec<usize>) {
+        fn recurse(&mut self, covered: u32, chosen: &mut Vec<usize>) {
             self.nodes += 1;
             if self.nodes > NODE_BUDGET {
                 self.exhausted = true;
@@ -102,12 +107,12 @@ pub fn exact_plan(net: &Network) -> Result<GatheringPlan, PlanError> {
             // Hull lower bound on any tour extending `chosen`.
             let mut pts: Vec<Point> = Vec::with_capacity(chosen.len() + 1);
             pts.push(self.sink);
-            pts.extend(chosen.iter().map(|&c| self.inst.candidates[c].pos));
+            pts.extend(chosen.iter().map(|&c| self.inst.pos(c)));
             if hull_perimeter(&pts) >= self.best_len - 1e-12 {
                 return;
             }
             let n = self.inst.n_targets();
-            if covered.count() == n {
+            if covered.count_ones() as usize == n {
                 // Complete cover: check inclusion-minimality to avoid
                 // re-evaluating supersets (optimality is preserved; see
                 // module docs).
@@ -121,7 +126,7 @@ pub fn exact_plan(net: &Network) -> Result<GatheringPlan, PlanError> {
                 return;
             }
             let target = (0..n)
-                .filter(|&t| !covered.get(t))
+                .filter(|&t| covered >> t & 1 == 0)
                 .min_by_key(|&t| self.coverers[t].len())
                 .expect("uncovered target exists");
             for &c in &self.coverers[target] {
@@ -131,10 +136,8 @@ pub fn exact_plan(net: &Network) -> Result<GatheringPlan, PlanError> {
                 if chosen.contains(&c) {
                     continue;
                 }
-                let mut next = covered.clone();
-                next.union_with(&self.inst.candidates[c].covers);
                 chosen.push(c);
-                self.recurse(&next, chosen);
+                self.recurse(covered | self.masks[c], chosen);
                 chosen.pop();
             }
         }
@@ -143,13 +146,14 @@ pub fn exact_plan(net: &Network) -> Result<GatheringPlan, PlanError> {
     let mut search = Search {
         inst: &inst,
         sink,
+        masks: &masks,
         coverers: &coverers,
         best_len,
         best_sel: std::mem::take(&mut best_sel),
         nodes: 0,
         exhausted: false,
     };
-    search.recurse(&BitSet::new(n), &mut Vec::new());
+    search.recurse(0, &mut Vec::new());
     if search.exhausted {
         return Err(PlanError::ExactBudgetExhausted);
     }
@@ -159,7 +163,7 @@ pub fn exact_plan(net: &Network) -> Result<GatheringPlan, PlanError> {
     // Materialize the optimal plan: exact tour order + nearest assignment.
     let mut pts = Vec::with_capacity(sel.len() + 1);
     pts.push(sink);
-    pts.extend(sel.iter().map(|&c| inst.candidates[c].pos));
+    pts.extend(sel.iter().map(|&c| inst.pos(c)));
     let cost = MatrixCost::from_points(&pts);
     let tour = if pts.len() <= HELD_KARP_MAX {
         held_karp(&cost).0
@@ -178,7 +182,7 @@ pub fn exact_plan(net: &Network) -> Result<GatheringPlan, PlanError> {
         .iter()
         .zip(covered_lists)
         .map(|(&c, cov)| PollingPoint {
-            pos: inst.candidates[c].pos,
+            pos: inst.pos(c),
             candidate: c,
             covered: cov,
         })
@@ -194,12 +198,12 @@ fn is_inclusion_minimal(inst: &CoverageInstance, sel: &[usize]) -> bool {
     let n = inst.n_targets();
     let mut count = vec![0u32; n];
     for &c in sel {
-        for t in inst.candidates[c].covers.iter_ones() {
-            count[t] += 1;
+        for &t in inst.covers(c) {
+            count[t as usize] += 1;
         }
     }
     sel.iter()
-        .all(|&c| inst.candidates[c].covers.iter_ones().any(|t| count[t] == 1))
+        .all(|&c| inst.covers(c).iter().any(|&t| count[t as usize] == 1))
 }
 
 #[cfg(test)]
@@ -244,7 +248,7 @@ mod tests {
                     continue;
                 }
                 let mut pts = vec![sink];
-                pts.extend(sel.iter().map(|&c| inst.candidates[c].pos));
+                pts.extend(sel.iter().map(|&c| inst.pos(c)));
                 let cost = MatrixCost::from_points(&pts);
                 let (_, len) = held_karp(&cost);
                 brute = brute.min(len);

@@ -1,7 +1,7 @@
 //! Hierarchical (tiled) SHDG planning for very large fields.
 //!
-//! The flat planner's covering stage is superlinear in the sensor count —
-//! the coverage instance alone is `O(n²)` bits — which walls it off
+//! The flat planner's time is superlinear in the sensor count — S1 reads
+//! 0.90 s at 20 000 sensors and 23.8 s at 100 000 — which walls it off
 //! somewhere past 100k sensors. The standard escape hatch in the
 //! mobile-sink literature is spatial decomposition: partition the field
 //! geometrically, solve each region as an independent sub-problem, and
@@ -775,10 +775,13 @@ fn plan_tile(
 ) -> TilePlan {
     let mut sp = mdg_obs::span("tile");
     sp.add_items(subset.len() as u64);
-    let inst = CoverageInstance::sensor_sites_subset(sensors, subset, range);
+    let inst = {
+        let _sp = mdg_obs::span("instance");
+        CoverageInstance::sensor_sites_subset(sensors, subset, range)
+    };
     let (tour, assignment) = plan_stops(&inst, anchor, None, base);
     TilePlan {
-        stops: tour.iter().map(|&c| inst.candidates[c].pos).collect(),
+        stops: tour.iter().map(|&c| inst.pos(c)).collect(),
         cands: tour.iter().map(|&c| subset[c]).collect(),
         chosen: assignment.iter().map(|&k| subset[tour[k]]).collect(),
     }

@@ -49,7 +49,7 @@ impl IlpInstance {
         if node == 0 {
             self.sink
         } else {
-            self.instance.candidates[node - 1].pos
+            self.instance.pos(node - 1)
         }
     }
 
@@ -83,9 +83,9 @@ impl IlpInstance {
         let _ = writeln!(lp, "Subject To");
 
         // 1. Coverage: Σ_{c covers t} y_c ≥ 1 for every sensor t.
-        for t in 0..self.instance.n_targets() {
+        for t in 0..self.instance.n_targets() as u32 {
             let coverers: Vec<String> = (0..m)
-                .filter(|&c| self.instance.candidates[c].covers.get(t))
+                .filter(|&c| self.instance.covers(c).binary_search(&t).is_ok())
                 .map(|c| format!("y_{c}"))
                 .collect();
             let _ = writeln!(lp, " cover_{t}: {} >= 1", coverers.join(" + "));
@@ -218,8 +218,9 @@ mod tests {
             selected[pp.candidate] = true;
         }
         // 1. Coverage constraints.
-        for t in 0..ilp.instance.n_targets() {
-            let covered = (0..m).any(|c| selected[c] && ilp.instance.candidates[c].covers.get(t));
+        for t in 0..ilp.instance.n_targets() as u32 {
+            let covered =
+                (0..m).any(|c| selected[c] && ilp.instance.covers(c).binary_search(&t).is_ok());
             if !covered {
                 return Err(format!("constraint cover_{t} violated"));
             }

@@ -158,7 +158,7 @@ impl ShdgPlanner {
             .iter()
             .zip(covered)
             .map(|(&c, covered)| PollingPoint {
-                pos: inst.candidates[c].pos,
+                pos: inst.pos(c),
                 candidate: c,
                 covered,
             })
@@ -201,10 +201,10 @@ pub(crate) fn plan_stops(
     cfg: &PlannerConfig,
 ) -> (Vec<usize>, Vec<usize>) {
     const FEASIBLE: &str = "the caller checked feasibility";
-    let near_anchor = |c: usize| inst.candidates[c].pos.dist_sq(anchor);
+    let near_anchor = |c: usize| inst.pos(c).dist_sq(anchor);
     let (mut selected, cap_assignment) = {
         let mut sp = mdg_obs::span("cover");
-        sp.add_items(inst.candidates.len() as u64);
+        sp.add_items(inst.n_candidates() as u64);
         match (cfg.max_sensors_per_pp, cfg.covering) {
             // The capacitated cover carries its own capacity-feasible
             // assignment and is assignment-tight, so it skips pruning.
@@ -229,7 +229,7 @@ pub(crate) fn plan_stops(
         let prelim = tour_stops(inst, depot, &selected, 0);
         let mut cycle: Vec<Point> = Vec::with_capacity(prelim.len() + first);
         cycle.extend(depot);
-        cycle.extend(prelim.iter().map(|&c| inst.candidates[c].pos));
+        cycle.extend(prelim.iter().map(|&c| inst.pos(c)));
         let m = cycle.len();
         let mut detour = vec![0.0; inst.n_candidates()];
         for (k, &c) in prelim.iter().enumerate() {
@@ -279,7 +279,7 @@ fn tour_stops(
     let first = usize::from(depot.is_some());
     let mut pts: Vec<Point> = Vec::with_capacity(selected.len() + first);
     pts.extend(depot);
-    pts.extend(selected.iter().map(|&c| inst.candidates[c].pos));
+    pts.extend(selected.iter().map(|&c| inst.pos(c)));
     let tour = if pts.len() <= 2 {
         Tour::identity(pts.len())
     } else if pts.len() <= DENSE_TOUR_LIMIT {

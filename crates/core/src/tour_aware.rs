@@ -14,7 +14,7 @@
 //! the evolving tour wins over a remote one. The A1 ablation compares it
 //! with plain greedy covering (`CoveringStrategy::Greedy`).
 
-use mdg_cover::{BitSet, CoverageInstance};
+use mdg_cover::CoverageInstance;
 use mdg_geom::Point;
 
 /// The rule's ε: meters added to the insertion cost in the denominator so
@@ -274,7 +274,7 @@ fn build_cells(inst: &CoverageInstance, gain: &[usize]) -> (Vec<LiveCand>, Vec<C
     );
     let mut n_live = 0usize;
     for c in ids() {
-        let p = inst.candidates[c].pos;
+        let p = inst.pos(c);
         lo = Point::new(lo.x.min(p.x), lo.y.min(p.y));
         hi = Point::new(hi.x.max(p.x), hi.y.max(p.y));
         n_live += 1;
@@ -309,7 +309,7 @@ fn build_cells(inst: &CoverageInstance, gain: &[usize]) -> (Vec<LiveCand>, Vec<C
     let mut cell_of = vec![u32::MAX; inst.n_candidates()];
     let mut counts = vec![0usize; cols * rows];
     for c in ids() {
-        let p = inst.candidates[c].pos;
+        let p = inst.pos(c);
         let cx = (((p.x - lo.x) * fx) as usize).min(cols - 1);
         let cy = (((p.y - lo.y) * fy) as usize).min(rows - 1);
         cell_of[c] = (cy * cols + cx) as u32;
@@ -348,7 +348,7 @@ fn build_cells(inst: &CoverageInstance, gain: &[usize]) -> (Vec<LiveCand>, Vec<C
         let cell = &mut cells[ci];
         live[cell.start + cell.len] = LiveCand {
             id: c,
-            pos: inst.candidates[c].pos,
+            pos: inst.pos(c),
             ..unset
         };
         cell.len += 1;
@@ -364,9 +364,9 @@ fn build_cells(inst: &CoverageInstance, gain: &[usize]) -> (Vec<LiveCand>, Vec<C
 /// specification:
 ///
 /// * **Gains** are maintained through an inverted index (target → covering
-///   candidates), built as the transpose of per-candidate target lists:
-///   selecting a candidate decrements the gain of every candidate sharing
-///   one of its newly covered targets.
+///   candidates), built as the transpose of the instance's per-candidate
+///   target lists: selecting a candidate decrements the gain of every
+///   candidate sharing one of its newly covered targets.
 /// * **Live candidates** — those whose gain is still above zero — sit
 ///   cell-major on a grid over the instance. Each cell keeps its members'
 ///   bounding box, an upper bound on their cached insertion deltas and its
@@ -394,29 +394,25 @@ pub(crate) fn tour_aware_cover(inst: &CoverageInstance, sink: Point) -> Option<V
     let mut sp = mdg_obs::span("tour_aware");
     sp.add_items(n_cands as u64);
 
-    // Per-candidate target lists in one pass over the bitsets, then their
-    // transpose, both in CSR form. `inv_starts` counts each target's
-    // candidates, sums them to list ends and is counted back down to list
-    // starts by the fill; the order within a list does not matter.
-    let mut gain: Vec<usize> = inst.candidates.iter().map(|c| c.covers.count()).collect();
-    let mut fwd: Vec<u32> = Vec::with_capacity(gain.iter().sum());
-    let mut fwd_starts: Vec<u32> = Vec::with_capacity(n_cands + 1);
+    // The instance's per-candidate target lists are the forward index;
+    // their transpose, in CSR form, is the inverted one. `inv_starts`
+    // counts each target's candidates, sums them to list ends and is
+    // counted back down to list starts by the fill; the order within a
+    // list does not matter. The instance holds fewer than 2^32 pairs, so
+    // every prefix sum fits in u32.
+    let mut gain: Vec<usize> = (0..n_cands).map(|c| inst.covers(c).len()).collect();
     let mut inv_starts: Vec<u32> = vec![0; n + 1];
-    fwd_starts.push(0);
-    for cand in &inst.candidates {
-        for t in cand.covers.iter_ones() {
-            fwd.push(t as u32);
-            inv_starts[t] += 1;
+    for c in 0..n_cands {
+        for &t in inst.covers(c) {
+            inv_starts[t as usize] += 1;
         }
-        // Every list offset, and so every prefix sum below, fits in u32.
-        fwd_starts.push(u32::try_from(fwd.len()).expect("fewer than 2^32 covering pairs"));
     }
     for t in 1..=n {
         inv_starts[t] += inv_starts[t - 1];
     }
-    let mut inv: Vec<u32> = vec![0; fwd.len()];
+    let mut inv: Vec<u32> = vec![0; inv_starts[n] as usize];
     for c in 0..n_cands {
-        for &t in &fwd[fwd_starts[c] as usize..fwd_starts[c + 1] as usize] {
+        for &t in inst.covers(c) {
             inv_starts[t as usize] -= 1;
             inv[inv_starts[t as usize] as usize] = c as u32;
         }
@@ -426,7 +422,7 @@ pub(crate) fn tour_aware_cover(inst: &CoverageInstance, sink: Point) -> Option<V
     for cell in &mut cells {
         cell.visit(&mut live, &gain, |e| 2.0 * sink.dist(e.pos));
     }
-    let mut covered = BitSet::new(n);
+    let mut covered = vec![false; n];
     let mut remaining = n;
     let mut selected = Vec::new();
     let mut tour_pts: Vec<Point> = vec![sink];
@@ -452,10 +448,10 @@ pub(crate) fn tour_aware_cover(inst: &CoverageInstance, sink: Point) -> Option<V
             break false;
         }
         let (w, w_pt) = (best.id, live[best.slot].pos);
-        for &t in &fwd[fwd_starts[w] as usize..fwd_starts[w + 1] as usize] {
+        for &t in inst.covers(w) {
             let t = t as usize;
-            if !covered.get(t) {
-                covered.set(t);
+            if !covered[t] {
+                covered[t] = true;
                 remaining -= 1;
                 for &c2 in &inv[inv_starts[t] as usize..inv_starts[t + 1] as usize] {
                     gain[c2 as usize] -= 1;
@@ -564,12 +560,12 @@ pub(crate) fn tour_aware_cover(inst: &CoverageInstance, sink: Point) -> Option<V
 
 /// The original full-rescan tour-aware covering: every step recounts every
 /// candidate's gain and rescans the whole tour for its cheapest insertion
-/// (`O(steps · candidates · (targets/64 + tour))`). Kept as the executable
+/// (`O(steps · (pairs + candidates · tour))`). Kept as the executable
 /// specification for [`tour_aware_cover`] and the equivalence suite.
 #[cfg(test)]
 fn tour_aware_cover_reference(inst: &CoverageInstance, sink: Point) -> Option<Vec<usize>> {
     let n = inst.n_targets();
-    let mut covered = BitSet::new(n);
+    let mut covered = vec![false; n];
     let mut selected = Vec::new();
     let mut tour_pts: Vec<Point> = vec![sink];
     let mut remaining = n;
@@ -579,12 +575,16 @@ fn tour_aware_cover_reference(inst: &CoverageInstance, sink: Point) -> Option<Ve
         let mut best_score = f64::NEG_INFINITY;
         let mut best_gain = 0usize;
         let mut best_ins = (0usize, 0.0f64);
-        for (c, cand) in inst.candidates.iter().enumerate() {
-            let gain = cand.covers.count_and_not(&covered);
+        for c in 0..inst.n_candidates() {
+            let gain = inst
+                .covers(c)
+                .iter()
+                .filter(|&&t| !covered[t as usize])
+                .count();
             if gain == 0 {
                 continue;
             }
-            let (pos, ins) = insertion_cost(&tour_pts, cand.pos);
+            let (pos, ins) = insertion_cost(&tour_pts, inst.pos(c));
             let denom = EPSILON + ins;
             let score = gain as f64 / denom.max(f64::MIN_POSITIVE);
             let better = score > best_score
@@ -600,10 +600,12 @@ fn tour_aware_cover_reference(inst: &CoverageInstance, sink: Point) -> Option<Ve
         if best_cand == usize::MAX {
             return None;
         }
-        covered.union_with(&inst.candidates[best_cand].covers);
+        for &t in inst.covers(best_cand) {
+            covered[t as usize] = true;
+        }
         selected.push(best_cand);
-        tour_pts.insert(best_ins.0, inst.candidates[best_cand].pos);
-        remaining = n - covered.count();
+        tour_pts.insert(best_ins.0, inst.pos(best_cand));
+        remaining -= best_gain;
     }
     Some(selected)
 }
@@ -654,8 +656,7 @@ mod tests {
         let aware = tour_aware_cover(&inst, sink).unwrap();
         // The blind side: greedy covering with ties broken toward the sink,
         // as the planner's `Greedy` strategy runs it.
-        let blind =
-            mdg_cover::greedy_cover(&inst, |c| inst.candidates[c].pos.dist_sq(sink)).unwrap();
+        let blind = mdg_cover::greedy_cover(&inst, |c| inst.pos(c).dist_sq(sink)).unwrap();
         // Both must cover; the aware tour must be no longer than the blind
         // one on this construction. Each side is toured by cheapest
         // insertion in selection order, as the tour-aware rule builds its
@@ -665,7 +666,7 @@ mod tests {
         let tour_len = |selected: &[usize]| {
             let mut tour = vec![sink];
             for &c in selected {
-                let p = inst.candidates[c].pos;
+                let p = inst.pos(c);
                 let (at, _) = insertion_cost(&tour, p);
                 tour.insert(at, p);
             }

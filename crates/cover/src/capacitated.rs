@@ -6,7 +6,6 @@
 //! of sensors any single polling point may serve, which both respects
 //! buffers and smooths per-stop pause times.
 
-use crate::bitset::BitSet;
 use crate::instance::CoverageInstance;
 
 /// A capacity-feasible cover: selected candidates plus an assignment that
@@ -39,7 +38,7 @@ where
 {
     assert!(cap > 0, "capacity must be at least 1");
     let n = inst.n_targets();
-    let mut assigned = BitSet::new(n);
+    let mut assigned = vec![false; n];
     let mut assignment = vec![usize::MAX; n];
     let mut selected: Vec<usize> = Vec::new();
     let mut remaining = n;
@@ -49,11 +48,17 @@ where
         let mut best = usize::MAX;
         let mut best_gain = 0usize;
         let mut best_tie = f64::INFINITY;
-        for (c, cand) in inst.candidates.iter().enumerate() {
+        for c in 0..inst.n_candidates() {
             if selected.contains(&c) {
                 continue; // Each point is selected (and filled) once.
             }
-            let gain = cand.covers.count_and_not(&assigned).min(cap);
+            // The gain is capped, so the count stops at `cap`.
+            let gain = inst
+                .covers(c)
+                .iter()
+                .filter(|&&t| !assigned[t as usize])
+                .take(cap)
+                .count();
             if gain == 0 {
                 continue;
             }
@@ -72,23 +77,25 @@ where
         if best == usize::MAX {
             return None;
         }
-        // Assign its nearest `cap` unassigned coverable targets.
-        let mut candidates: Vec<usize> = inst.candidates[best]
-            .covers
-            .iter_ones()
-            .filter(|&t| !assigned.get(t))
+        // Assign its nearest `cap` unassigned coverable targets. The list
+        // is ascending and the sort stable, so equal distances keep
+        // ascending target order.
+        let p = inst.pos(best);
+        let mut candidates: Vec<usize> = inst
+            .covers(best)
+            .iter()
+            .map(|&t| t as usize)
+            .filter(|&t| !assigned[t])
             .collect();
         candidates.sort_by(|&a, &b| {
-            inst.candidates[best]
-                .pos
-                .dist_sq(inst.targets[a])
-                .partial_cmp(&inst.candidates[best].pos.dist_sq(inst.targets[b]))
+            p.dist_sq(inst.target_pos(a))
+                .partial_cmp(&p.dist_sq(inst.target_pos(b)))
                 .unwrap()
         });
         let k = selected.len();
         selected.push(best);
         for &t in candidates.iter().take(cap) {
-            assigned.set(t);
+            assigned[t] = true;
             assignment[t] = k;
             remaining -= 1;
         }
@@ -133,7 +140,7 @@ mod tests {
             let Some(&c) = cover.selected.get(k) else {
                 return false;
             };
-            if !inst.candidates[c].covers.get(t) {
+            if !inst.covers(c).contains(&(t as u32)) {
                 return false;
             }
             loads[k] += 1;

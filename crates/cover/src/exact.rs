@@ -5,7 +5,6 @@
 //! candidates), bounds with a greedy-packing lower bound, and prunes
 //! dominated candidates up front.
 
-use crate::bitset::BitSet;
 use crate::instance::CoverageInstance;
 
 /// Node budget for the branch-and-bound search (safety valve for
@@ -34,17 +33,18 @@ fn exact_min_cover_with_budget(inst: &CoverageInstance, node_budget: u64) -> Opt
     // identical with lower index). Some optimal solution avoids dominated
     // candidates, shrinking the branching factor considerably on dense
     // instances.
+    let is_subset = |a: &[u32], b: &[u32]| a.iter().all(|t| b.binary_search(t).is_ok());
     let mut alive: Vec<usize> = Vec::new();
-    'outer: for (c, cand) in inst.candidates.iter().enumerate() {
-        if cand.covers.none() {
+    'outer: for c in 0..inst.n_candidates() {
+        if inst.covers(c).is_empty() {
             continue;
         }
-        for (c2, cand2) in inst.candidates.iter().enumerate() {
+        for c2 in 0..inst.n_candidates() {
             if c2 == c {
                 continue;
             }
-            let subset = cand.covers.is_subset(&cand2.covers);
-            let equal = subset && cand2.covers.is_subset(&cand.covers);
+            let subset = is_subset(inst.covers(c), inst.covers(c2));
+            let equal = subset && is_subset(inst.covers(c2), inst.covers(c));
             if (subset && !equal) || (equal && c2 < c) {
                 continue 'outer;
             }
@@ -60,8 +60,8 @@ fn exact_min_cover_with_budget(inst: &CoverageInstance, node_budget: u64) -> Opt
     // Per-target list of alive candidates covering it.
     let mut coverers: Vec<Vec<usize>> = vec![Vec::new(); n];
     for &c in &alive {
-        for t in inst.candidates[c].covers.iter_ones() {
-            coverers[t].push(c);
+        for &t in inst.covers(c) {
+            coverers[t as usize].push(c);
         }
     }
     // Feasibility can rely on dominated candidates only if domination
@@ -71,7 +71,7 @@ fn exact_min_cover_with_budget(inst: &CoverageInstance, node_budget: u64) -> Opt
 
     let max_cover_size = alive
         .iter()
-        .map(|&c| inst.candidates[c].covers.count())
+        .map(|&c| inst.covers(c).len())
         .max()
         .unwrap_or(1)
         .max(1);
@@ -88,14 +88,14 @@ fn exact_min_cover_with_budget(inst: &CoverageInstance, node_budget: u64) -> Opt
     }
 
     impl Search<'_> {
-        fn recurse(&mut self, covered: &BitSet, chosen: &mut Vec<usize>) {
+        fn recurse(&mut self, covered: &[bool], chosen: &mut Vec<usize>) {
             self.nodes += 1;
             if self.nodes > self.budget {
                 self.exhausted = true;
                 return;
             }
             let n = self.inst.n_targets();
-            let uncovered = n - covered.count();
+            let uncovered = covered.iter().filter(|&&c| !c).count();
             if uncovered == 0 {
                 if chosen.len() < self.best_len {
                     self.best_len = chosen.len();
@@ -110,7 +110,7 @@ fn exact_min_cover_with_budget(inst: &CoverageInstance, node_budget: u64) -> Opt
             }
             // Branch on the uncovered target with the fewest coverers.
             let target = (0..n)
-                .filter(|&t| !covered.get(t))
+                .filter(|&t| !covered[t])
                 .min_by_key(|&t| self.coverers[t].len())
                 .expect("some target uncovered");
             // Clone the list to avoid borrowing issues.
@@ -119,12 +119,14 @@ fn exact_min_cover_with_budget(inst: &CoverageInstance, node_budget: u64) -> Opt
                 if self.exhausted {
                     return;
                 }
-                let gain = self.inst.candidates[c].covers.count_and_not(covered);
-                if gain == 0 {
+                let list = self.inst.covers(c);
+                if list.iter().all(|&t| covered[t as usize]) {
                     continue;
                 }
-                let mut next = covered.clone();
-                next.union_with(&self.inst.candidates[c].covers);
+                let mut next = covered.to_vec();
+                for &t in list {
+                    next[t as usize] = true;
+                }
                 chosen.push(c);
                 self.recurse(&next, chosen);
                 chosen.pop();
@@ -142,7 +144,7 @@ fn exact_min_cover_with_budget(inst: &CoverageInstance, node_budget: u64) -> Opt
         budget: node_budget,
         exhausted: false,
     };
-    let covered = BitSet::new(n);
+    let covered = vec![false; n];
     let mut chosen = Vec::new();
     search.recurse(&covered, &mut chosen);
     if search.exhausted {

@@ -2,8 +2,9 @@
 //!
 //! Two implementations of the same selection rule live here:
 //!
-//! * [`greedy_cover`] / [`greedy_cover_restricted`] — **lazy-greedy**
-//!   (submodular) selection backed by a max-heap of stale marginal gains.
+//! * [`greedy_cover_restricted`] — **lazy-greedy** (submodular)
+//!   selection backed by a max-heap of stale marginal gains;
+//!   [`greedy_cover`] runs it over every target and candidate.
 //!   Because coverage gain is submodular (a candidate's gain never grows as
 //!   the covered set grows), a heap entry's recorded gain is an upper bound
 //!   on its true gain; entries are re-evaluated only when they surface at
@@ -27,7 +28,6 @@
 //! which also makes expensive tie-breakers (e.g. tour-insertion probes)
 //! cheap.
 
-use crate::bitset::BitSet;
 use crate::instance::CoverageInstance;
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
@@ -66,6 +66,13 @@ fn norm_tie(t: f64) -> f64 {
     }
 }
 
+/// How many of `list`'s targets are not yet `covered`: a candidate's
+/// marginal gain.
+#[inline]
+fn uncovered_in(list: &[u32], covered: &[bool]) -> usize {
+    list.iter().filter(|&&t| !covered[t as usize]).count()
+}
+
 /// One lazy-greedy selection step. Pops heap entries, re-evaluating stale
 /// gains, until the set of *verified* max-gain contenders is complete; then
 /// picks the contender minimizing `(tie, index)` and pushes the rest back.
@@ -74,7 +81,7 @@ fn norm_tie(t: f64) -> f64 {
 /// remain but nothing covers them).
 fn lazy_select<F>(
     heap: &mut BinaryHeap<GainEntry>,
-    covered: &BitSet,
+    covered: &[bool],
     inst: &CoverageInstance,
     ties: &mut [Option<f64>],
     tie_break: &F,
@@ -91,7 +98,7 @@ where
         }
         heap.pop();
         *reevals += 1;
-        let gain = inst.candidates[top.cand].covers.count_and_not(covered);
+        let gain = uncovered_in(inst.covers(top.cand), covered);
         if gain == 0 {
             continue; // Fully covered already; drop the candidate for good.
         }
@@ -142,10 +149,10 @@ where
 /// Returns the selected candidate indices in selection order, or `None` if
 /// the instance is infeasible (some target uncovered by every candidate).
 ///
-/// This is the lazy-greedy (accelerated) implementation; it returns the
-/// exact same selection sequence as the full-rescan reference for any
-/// pure, non-`NaN` tie-breaker, at a fraction of the cost on large
-/// instances.
+/// This is [`greedy_cover_restricted`] over every target and candidate:
+/// lazy greedy, which returns the exact same selection sequence as the
+/// full-rescan reference for any pure, non-`NaN` tie-breaker, at a
+/// fraction of the cost on large instances.
 ///
 /// The classic `ln n + 1` approximation guarantee for minimum set cover
 /// applies regardless of the tie-breaker.
@@ -165,41 +172,9 @@ pub fn greedy_cover<F>(inst: &CoverageInstance, tie_break: F) -> Option<Vec<usiz
 where
     F: Fn(usize) -> f64,
 {
-    let n = inst.n_targets();
-    let mut sp = mdg_obs::span("lazy_greedy");
-    sp.add_items(inst.n_candidates() as u64);
-    let mut reevals = 0u64;
-    let mut covered = BitSet::new(n);
-    let mut selected = Vec::new();
-    let mut remaining = n;
-    let mut ties: Vec<Option<f64>> = vec![None; inst.n_candidates()];
-    // Seed the heap with initial gains computed in parallel. `GainEntry`'s
-    // ordering is total (gain, then candidate index), so the heap's pop
-    // sequence — and with it the whole selection — does not depend on the
-    // order entries were produced in.
-    let mut heap = BinaryHeap::from(mdg_par::par_map(inst.n_candidates(), |c| GainEntry {
-        gain: inst.candidates[c].covers.count(),
-        cand: c,
-    }));
-
-    while remaining > 0 {
-        let Some((best, _)) = lazy_select(
-            &mut heap,
-            &covered,
-            inst,
-            &mut ties,
-            &tie_break,
-            &mut reevals,
-        ) else {
-            mdg_obs::counter("lazy_greedy/reevals").add(reevals);
-            return None;
-        };
-        covered.union_with(&inst.candidates[best].covers);
-        selected.push(best);
-        remaining = n - covered.count();
-    }
-    mdg_obs::counter("lazy_greedy/reevals").add(reevals);
-    Some(selected)
+    let targets: Vec<usize> = (0..inst.n_targets()).collect();
+    let allowed: Vec<usize> = (0..inst.n_candidates()).collect();
+    greedy_cover_restricted(inst, &targets, &allowed, tie_break)
 }
 
 /// Greedy cover of a **subset** of targets using a **subset** of
@@ -234,28 +209,26 @@ pub fn greedy_cover_restricted<F>(
 where
     F: Fn(usize) -> f64,
 {
-    let n = inst.n_targets();
     let mut sp = mdg_obs::span("lazy_greedy");
     sp.add_items(allowed.len() as u64);
     let mut reevals = 0u64;
     // Treat everything outside `targets` as pre-covered, then run the
     // standard lazy-greedy loop over the allowed candidates.
-    let wanted = BitSet::from_indices(n, targets);
-    let mut covered = BitSet::new(n);
-    for t in 0..n {
-        if !wanted.get(t) {
-            covered.set(t);
-        }
+    let mut covered = vec![true; inst.n_targets()];
+    let mut remaining = 0usize;
+    for &t in targets {
+        remaining += usize::from(std::mem::replace(&mut covered[t], false));
     }
     let mut selected = Vec::new();
-    let mut remaining = wanted.count();
     let mut ties: Vec<Option<f64>> = vec![None; inst.n_candidates()];
-    // Parallel seeding; see `greedy_cover` for why the heap's pop order is
-    // unaffected.
+    // Seed the heap with initial gains computed in parallel. `GainEntry`'s
+    // ordering is total (gain, then candidate index), so the heap's pop
+    // sequence — and with it the whole selection — does not depend on the
+    // order entries were produced in.
     let mut heap = BinaryHeap::from(mdg_par::par_map(allowed.len(), |k| {
         let c = allowed[k];
         GainEntry {
-            gain: inst.candidates[c].covers.count_and_not(&covered),
+            gain: uncovered_in(inst.covers(c), &covered),
             cand: c,
         }
     }));
@@ -272,7 +245,9 @@ where
             mdg_obs::counter("lazy_greedy/reevals").add(reevals);
             return None; // Some requested target is unreachable.
         };
-        covered.union_with(&inst.candidates[best].covers);
+        for &t in inst.covers(best) {
+            covered[t as usize] = true;
+        }
         selected.push(best);
         remaining -= gain;
     }
@@ -281,16 +256,16 @@ where
 }
 
 /// Reference full-rescan greedy cover (the original implementation): every
-/// selection step scans all candidates. `O(selections · candidates ·
-/// targets/64)`. Kept as the executable specification that
-/// [`greedy_cover`] is verified against.
+/// selection step scans all candidates. `O(selections · pairs)`. Kept as
+/// the executable specification that [`greedy_cover`] is verified
+/// against.
 #[cfg(test)]
 fn greedy_cover_reference<F>(inst: &CoverageInstance, tie_break: F) -> Option<Vec<usize>>
 where
     F: Fn(usize) -> f64,
 {
     let n = inst.n_targets();
-    let mut covered = BitSet::new(n);
+    let mut covered = vec![false; n];
     let mut selected = Vec::new();
     let mut remaining = n;
 
@@ -298,8 +273,8 @@ where
         let mut best = usize::MAX;
         let mut best_gain = 0usize;
         let mut best_tie = f64::INFINITY;
-        for (c, cand) in inst.candidates.iter().enumerate() {
-            let gain = cand.covers.count_and_not(&covered);
+        for c in 0..inst.n_candidates() {
+            let gain = uncovered_in(inst.covers(c), &covered);
             if gain == 0 {
                 continue;
             }
@@ -318,9 +293,11 @@ where
         if best == usize::MAX {
             return None; // Remaining targets are uncoverable.
         }
-        covered.union_with(&inst.candidates[best].covers);
+        for &t in inst.covers(best) {
+            covered[t as usize] = true;
+        }
         selected.push(best);
-        remaining = n - covered.count();
+        remaining -= best_gain;
     }
     Some(selected)
 }
@@ -337,23 +314,19 @@ fn greedy_cover_restricted_reference<F>(
 where
     F: Fn(usize) -> f64,
 {
-    let n = inst.n_targets();
-    let wanted = BitSet::from_indices(n, targets);
-    let mut covered = BitSet::new(n);
-    for t in 0..n {
-        if !wanted.get(t) {
-            covered.set(t);
-        }
+    let mut covered = vec![true; inst.n_targets()];
+    let mut remaining = 0usize;
+    for &t in targets {
+        remaining += usize::from(std::mem::replace(&mut covered[t], false));
     }
     let mut selected = Vec::new();
-    let mut remaining = wanted.count();
 
     while remaining > 0 {
         let mut best = usize::MAX;
         let mut best_gain = 0usize;
         let mut best_tie = f64::INFINITY;
         for &c in allowed {
-            let gain = inst.candidates[c].covers.count_and_not(&covered);
+            let gain = uncovered_in(inst.covers(c), &covered);
             if gain == 0 {
                 continue;
             }
@@ -372,7 +345,9 @@ where
         if best == usize::MAX {
             return None; // Some requested target is unreachable.
         }
-        covered.union_with(&inst.candidates[best].covers);
+        for &t in inst.covers(best) {
+            covered[t as usize] = true;
+        }
         selected.push(best);
         remaining -= best_gain;
     }
@@ -415,7 +390,7 @@ mod tests {
             "first selection must be a max-coverage candidate, got {}",
             sel[0]
         );
-        assert_eq!(inst.candidates[sel[0]].covers.count(), 3);
+        assert_eq!(inst.covers(sel[0]).len(), 3);
     }
 
     #[test]
@@ -609,7 +584,10 @@ mod tests {
             }
             let allowed: Vec<usize> = (0..inst.n_candidates())
                 .filter(|&c| {
-                    targets.iter().any(|&t| inst.candidates[c].covers.get(t)) || rng.gen_bool(0.2)
+                    targets
+                        .iter()
+                        .any(|&t| inst.covers(c).contains(&(t as u32)))
+                        || rng.gen_bool(0.2)
                 })
                 .collect();
             let mode = i % 4;

@@ -7,17 +7,16 @@
 //!
 //! This crate provides:
 //!
-//! * [`BitSet`]: a compact dynamic bitset used to represent coverage sets.
 //! * [`CoverageInstance`]: targets (sensors), candidate polling points
 //!   (sensor sites or grid positions, per the paper's "predefined
-//!   positions"), and their coverage relation.
+//!   positions"), and their coverage relation, held once as an ascending
+//!   list of covered targets per candidate (4 bytes per covering pair).
 //! * [`greedy_cover`]: the classic greedy max-coverage heuristic with a
 //!   caller-supplied tie-breaker (the planner breaks ties toward the sink).
 //! * [`prune_cover`]: reverse-delete removal of redundant selections.
 //! * [`capacitated_greedy_cover`]: greedy covering with a per-point load
 //!   limit.
 
-pub mod bitset;
 pub mod capacitated;
 #[cfg(test)]
 mod exact;
@@ -25,10 +24,9 @@ pub mod greedy;
 pub mod instance;
 pub mod prune;
 
-pub use bitset::BitSet;
 pub use capacitated::{capacitated_greedy_cover, CapacitatedCover};
 pub use greedy::{greedy_cover, greedy_cover_restricted};
-pub use instance::{Candidate, CoverageInstance};
+pub use instance::CoverageInstance;
 pub use prune::prune_cover;
 
 /// Random sensor fields and ranges for the property tests of the

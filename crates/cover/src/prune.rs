@@ -30,20 +30,20 @@ where
     // Multiplicity of coverage per target across kept candidates.
     let mut cover_count = vec![0u32; n];
     for &s in &keep {
-        for t in inst.candidates[s].covers.iter_ones() {
-            cover_count[t] += 1;
+        for &t in inst.covers(s) {
+            cover_count[t as usize] += 1;
         }
     }
 
     for cand in order {
         // Removable iff every target it covers is covered at least twice.
-        let removable = inst.candidates[cand]
-            .covers
-            .iter_ones()
-            .all(|t| cover_count[t] >= 2);
+        let removable = inst
+            .covers(cand)
+            .iter()
+            .all(|&t| cover_count[t as usize] >= 2);
         if removable {
-            for t in inst.candidates[cand].covers.iter_ones() {
-                cover_count[t] -= 1;
+            for &t in inst.covers(cand) {
+                cover_count[t as usize] -= 1;
             }
             keep.retain(|&s| s != cand);
         }
@@ -69,18 +69,15 @@ mod tests {
         let n = inst.n_targets();
         let mut cover_count = vec![0u32; n];
         for &s in selected {
-            for t in inst.candidates[s].covers.iter_ones() {
-                cover_count[t] += 1;
+            for &t in inst.covers(s) {
+                cover_count[t as usize] += 1;
             }
         }
         // Minimal iff every member uniquely covers some target (a member
         // covering nothing therefore also fails this test).
-        selected.iter().all(|&s| {
-            inst.candidates[s]
-                .covers
-                .iter_ones()
-                .any(|t| cover_count[t] == 1)
-        })
+        selected
+            .iter()
+            .all(|&s| inst.covers(s).iter().any(|&t| cover_count[t as usize] == 1))
     }
 
     fn line(xs: &[f64]) -> Vec<Point> {

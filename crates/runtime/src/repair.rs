@@ -192,7 +192,7 @@ pub fn repair_plan(
         let cycle = plan.tour_positions();
         report.ops += (allowed.len() * unadopted.len()) as u64;
         let selected = greedy_cover_restricted(inst, &unadopted, &allowed, |c| {
-            cheapest_insertion_position(&cycle, inst.candidates[c].pos).1
+            cheapest_insertion_position(&cycle, inst.pos(c)).1
         });
         let Some(selected) = selected else {
             // A live sensor covered by no live candidate cannot happen with
@@ -211,8 +211,8 @@ pub fn repair_plan(
             let mut best_d = f64::INFINITY;
             for (i, &c) in selected.iter().enumerate() {
                 report.ops += 1;
-                if inst.candidates[c].covers.get(s) {
-                    let d = inst.candidates[c].pos.dist_sq(net.deployment.sensors[s]);
+                if inst.covers(c).binary_search(&(s as u32)).is_ok() {
+                    let d = inst.pos(c).dist_sq(net.deployment.sensors[s]);
                     if d < best_d {
                         best_d = d;
                         best = i;
@@ -226,7 +226,7 @@ pub fn repair_plan(
         // Splice each new stop into the tour at its cheapest position.
         for (&c, covered) in selected.iter().zip(served) {
             let pp = PollingPoint {
-                pos: inst.candidates[c].pos,
+                pos: inst.pos(c),
                 candidate: c,
                 covered,
             };

@@ -19,8 +19,9 @@
 //!   reader, stable error codes.
 //! * [`session`] — warm per-field state and the repair-vs-replan
 //!   decision. Sessions come in two flavors behind one API: flat
-//!   (better tours, quadratic coverage bitmap) and hierarchical
-//!   (tiled `HierPlan` with dirty-tile deltas, O(n) footprint) —
+//!   (better tours; field-wide graphs and coverage lists, O(pairs)
+//!   bytes) and hierarchical (tiled `HierPlan` with dirty-tile deltas,
+//!   O(n) footprint) —
 //!   [`session::FieldSession::plan_cold_auto`] picks by field size
 //!   against [`server::ServeConfig::hier_threshold`].
 //! * [`server`] — the daemon: accept loop, session table bounded by

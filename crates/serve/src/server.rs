@@ -72,8 +72,9 @@ pub struct ServeConfig {
     pub max_sensors: usize,
     /// `plan` requests above this sensor count get a hierarchical
     /// session (retained tiled plan, dirty-tile deltas) instead of a
-    /// flat one — the flat session's quadratic coverage bitmap makes
-    /// warm million-sensor sessions impossible.
+    /// flat one, whose cold plan takes the flat planner's superlinear
+    /// time and whose field-wide graphs and coverage lists take
+    /// O(pairs) bytes.
     pub hier_threshold: usize,
     /// Byte budget for the whole session table (estimated footprints,
     /// see `FieldSession::approx_bytes`). Crossing it evicts
@@ -166,12 +167,32 @@ impl SessionTable {
 
     /// Refreshes one session's byte estimate, then re-applies the byte
     /// bound (a delta that added sensors may have pushed the table over
-    /// budget). Returns the evicted names.
-    fn set_bytes(&mut self, name: &str, bytes: u64, cap: usize, max_bytes: u64) -> Vec<String> {
-        if let Some(e) = self.map.get_mut(name) {
+    /// budget). Returns the evicted names. The estimate is written only
+    /// while `name` still holds `session`: a concurrent `plan` may have
+    /// replaced it, and the replacement keeps its own footprint.
+    fn set_bytes(
+        &mut self,
+        name: &str,
+        session: &Arc<Mutex<FieldSession>>,
+        bytes: u64,
+        cap: usize,
+        max_bytes: u64,
+    ) -> Vec<String> {
+        if let Some(e) = self.entry_of(name, session) {
             e.bytes = bytes;
         }
         self.enforce(cap, max_bytes)
+    }
+
+    /// The entry `name` while it still holds `session`.
+    fn entry_of(
+        &mut self,
+        name: &str,
+        session: &Arc<Mutex<FieldSession>>,
+    ) -> Option<&mut TableEntry> {
+        self.map
+            .get_mut(name)
+            .filter(|e| Arc::ptr_eq(&e.session, session))
     }
 
     /// Evicts LRU entries until the count cap and byte budget both hold.
@@ -201,6 +222,12 @@ impl SessionTable {
 
     fn remove(&mut self, name: &str) -> bool {
         self.map.remove(name).is_some()
+    }
+
+    /// Removes `name` only while it still holds `session`, so a fresh
+    /// session a concurrent `plan` put in its place stays.
+    fn remove_session(&mut self, name: &str, session: &Arc<Mutex<FieldSession>>) -> bool {
+        self.entry_of(name, session).is_some() && self.remove(name)
     }
 
     /// Session summaries, least-recently-used first.
@@ -677,7 +704,7 @@ fn build_deployment(req: &Request, shared: &Shared) -> Result<Deployment, Handle
 fn handle_delta(req: &Request, shared: &Shared) -> Result<String, HandlerError> {
     let _sp = mdg_obs::span("serve/delta");
     let field = required_field(req)?;
-    let session = lock_unpoisoned(&shared.sessions)
+    let handle = lock_unpoisoned(&shared.sessions)
         .touch(&field)
         .ok_or_else(|| {
             (
@@ -689,7 +716,7 @@ fn handle_delta(req: &Request, shared: &Shared) -> Result<String, HandlerError> 
     // added lists (at n=1M churn these are the largest request payloads).
     let died: &[u64] = req.died.as_deref().unwrap_or(&[]);
     let added = req.added.as_deref().unwrap_or(&[]);
-    let mut session = lock_unpoisoned(&session);
+    let mut session = lock_unpoisoned(&handle);
     if session.alive().len() + added.len() > shared.cfg.max_sensors {
         return Err(bad_request(format!(
             "delta would grow the session past the {}-sensor bound",
@@ -705,7 +732,7 @@ fn handle_delta(req: &Request, shared: &Shared) -> Result<String, HandlerError> 
         // equivalent of the panic path) and tell the client to re-plan.
         Err(DeltaError::Corrupt(msg)) => {
             drop(session);
-            if lock_unpoisoned(&shared.sessions).remove(&field) {
+            if lock_unpoisoned(&shared.sessions).remove_session(&field, &handle) {
                 mdg_obs::counter("serve/sessions/evicted").add(1);
                 eprintln!("mdg-serve: delta corrupted session `{field}` ({msg}); evicted");
             }
@@ -734,6 +761,7 @@ fn handle_delta(req: &Request, shared: &Shared) -> Result<String, HandlerError> 
     drop(session);
     let evicted = lock_unpoisoned(&shared.sessions).set_bytes(
         &field,
+        &handle,
         bytes,
         shared.cfg.max_sessions,
         shared.cfg.max_session_bytes,
@@ -826,5 +854,39 @@ fn summarize(session: &FieldSession, mode: &str, elapsed_ms: f64) -> PlanSummary
         polling_points: session.plan().n_polling_points() as u64,
         tour_m: session.plan().tour_length,
         elapsed_ms,
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn session(seed: u64) -> FieldSession {
+        let field = DeploymentConfig::uniform(50, 100.0).generate(seed);
+        FieldSession::plan_cold("f", field, 30.0, PlannerConfig::default()).unwrap()
+    }
+
+    #[test]
+    fn writes_carrying_a_replaced_session_leave_its_successor_alone() {
+        let mut table = SessionTable::new();
+        table.insert("f".into(), session(1), 8, u64::MAX);
+        let old = table.touch("f").unwrap();
+        // A concurrent `plan` replaces the field.
+        table.insert("f".into(), session(2), 8, u64::MAX);
+        let bytes = table.map["f"].bytes;
+        assert!(!table.remove_session("f", &old));
+        assert!(table.set_bytes("f", &old, 1, 8, u64::MAX).is_empty());
+        let entry = &table.map["f"];
+        assert!(
+            !Arc::ptr_eq(&entry.session, &old),
+            "the fresh session stays"
+        );
+        assert_eq!(entry.bytes, bytes, "and keeps its own footprint");
+        // The entry's own handle still acts.
+        let fresh = table.touch("f").unwrap();
+        assert!(table.set_bytes("f", &fresh, 1, 8, u64::MAX).is_empty());
+        assert_eq!(table.map["f"].bytes, 1);
+        assert!(table.remove_session("f", &fresh));
+        assert!(table.map.is_empty());
     }
 }

@@ -16,8 +16,9 @@
 //!   delta on a million-sensor field costs its dirty tiles, one `O(live)`
 //!   pass that rewrites the plan's assignment, and the closing
 //!   [`GatheringPlan::validate_live`], not a field-wide re-plan.
-//!   The flat session's `O(n²)`-bit coverage bitmap is never built,
-//!   which is what makes warm million-sensor sessions fit in memory.
+//!   No field-wide network or coverage lists (the flat session's
+//!   `O(pairs)` bytes) are built, which keeps warm million-sensor
+//!   sessions small.
 //!
 //! ## Repair-vs-replan decision
 //!
@@ -126,7 +127,7 @@ pub struct SessionStats {
 enum State {
     /// Flat planning: full spatial structures + adopt/splice repair.
     Flat {
-        net: Network,
+        net: Box<Network>,
         inst: CoverageInstance,
         plan: GatheringPlan,
         repair_cfg: RepairConfig,
@@ -168,7 +169,10 @@ impl FieldSession {
         let t0 = Instant::now();
         let _sp = mdg_obs::span("cold_plan");
         let net = Network::build(deployment, range);
-        let inst = CoverageInstance::sensor_sites(&net.deployment.sensors, range);
+        let inst = {
+            let _sp = mdg_obs::span("instance");
+            CoverageInstance::sensor_sites(&net.deployment.sensors, range)
+        };
         let plan = ShdgPlanner::with_config(planner_cfg)
             .plan_instance(&inst, net.deployment.sink)
             .map_err(|e| e.to_string())?;
@@ -179,7 +183,7 @@ impl FieldSession {
             name: name.into(),
             alive,
             state: State::Flat {
-                net,
+                net: Box::new(net),
                 inst,
                 plan,
                 repair_cfg: RepairConfig::default(),
@@ -223,8 +227,9 @@ impl FieldSession {
 
     /// Plans cold, picking the session flavor by size: fields larger than
     /// `hier_threshold` sensors get a hierarchical session (the flat
-    /// planner's quadratic coverage bitmap is the scaling wall), smaller
-    /// fields get the flat planner's better tours.
+    /// planner's superlinear time and its field-wide graphs and coverage
+    /// lists are the scaling wall), smaller fields get the flat planner's
+    /// better tours.
     pub fn plan_cold_auto(
         name: impl Into<String>,
         deployment: Deployment,
@@ -296,13 +301,21 @@ impl FieldSession {
     /// Rough heap footprint of the warm state, in bytes. Feeds the
     /// server's byte-aware LRU eviction; an estimate, not an audit.
     ///
-    /// The flat estimate is dominated by the sensor-site coverage
-    /// bitmap's `n²` bits; the hier estimate is linear in `n`, which is
-    /// the whole point of the hierarchical session.
+    /// The flat estimate counts what the session holds: the coverage
+    /// lists at 4 bytes per covering pair, both unit-disk graphs at 24
+    /// bytes per edge, a fixed share per sensor (positions, grid, list
+    /// and row starts, alive mask) and the plan, so it grows with the
+    /// pairs within range. The hier estimate is linear in `n`.
     pub fn approx_bytes(&self) -> u64 {
         let n = self.alive.len() as u64;
         match &self.state {
-            State::Flat { plan, .. } => n * n / 8 + n * 48 + plan.approx_bytes(),
+            State::Flat {
+                net, inst, plan, ..
+            } => {
+                let pairs: usize = (0..inst.n_candidates()).map(|c| inst.covers(c).len()).sum();
+                let edges = net.sensor_graph.m() + net.full_graph.m();
+                n * 105 + pairs as u64 * 4 + edges as u64 * 24 + plan.approx_bytes()
+            }
             State::Hier { hier, .. } => n * 17 + hier.approx_bytes(),
         }
     }
@@ -393,7 +406,7 @@ impl FieldSession {
                     let field = added
                         .iter()
                         .fold(net.deployment.field, |f, &p| f.union(&Aabb::new(p, p)));
-                    *net = Network::build(
+                    **net = Network::build(
                         Deployment {
                             sensors,
                             sink: net.deployment.sink,
@@ -401,10 +414,14 @@ impl FieldSession {
                         },
                         range,
                     );
-                    // Free the old n²-bit candidate sets before building
-                    // their replacement, so the two never coexist.
-                    inst.candidates = Vec::new();
-                    *inst = CoverageInstance::sensor_sites(&net.deployment.sensors, range);
+                    // Free the old lists (an empty instance holds none)
+                    // before building their replacement, so the two never
+                    // coexist.
+                    *inst = CoverageInstance::sensor_sites(&[], range);
+                    *inst = {
+                        let _sp = mdg_obs::span("instance");
+                        CoverageInstance::sensor_sites(&net.deployment.sensors, range)
+                    };
                     alive.resize(net.n_sensors(), true);
                     plan.assignment.resize(net.n_sensors(), UNASSIGNED);
                     if range_changed {
@@ -790,20 +807,5 @@ mod tests {
         .unwrap();
         assert_eq!(big.kind(), "hier");
         big.plan().validate(big.sensors(), big.range()).unwrap();
-    }
-
-    #[test]
-    fn hier_footprint_is_linear_not_quadratic() {
-        // The hier session must dodge the flat session's n²-bit coverage
-        // bitmap; at 600 sensors the flat estimate already dominates.
-        let flat = session(150, 14);
-        let hier = hier_session(600, 14);
-        assert!(flat.approx_bytes() > 150 * 150 / 8);
-        assert!(
-            hier.approx_bytes() < (600u64 * 600 / 8) + 600 * 48,
-            "hier session footprint {} should undercut a flat session's \
-             quadratic bitmap at the same n",
-            hier.approx_bytes()
-        );
     }
 }

@@ -591,6 +591,43 @@ fn plan_profile_prints_a_phase_tree_on_stderr() {
 }
 
 #[test]
+fn hier_profile_splits_each_tile_into_instance_and_cover_rows() {
+    let out = mdg(&[
+        "plan",
+        "--hier",
+        "--n",
+        "3000",
+        "--side",
+        "550",
+        "--range",
+        "30",
+        "--profile",
+    ]);
+    assert!(out.status.success(), "{}", stderr(&out));
+    let err = stderr(&out);
+    // Each tile's coverage instance is built under a span of its own,
+    // a child of `tile` beside `cover`.
+    let rows: Vec<&str> = err.lines().collect();
+    let tile = rows
+        .iter()
+        .position(|l| l.split_whitespace().next() == Some("tile"))
+        .unwrap_or_else(|| panic!("missing phase row `tile` in: {err}"));
+    let indent = |l: &str| l.len() - l.trim_start().len();
+    let children: Vec<&str> = rows[tile + 1..]
+        .iter()
+        .take_while(|l| indent(l) > indent(rows[tile]))
+        .filter(|l| indent(l) == indent(rows[tile]) + 2)
+        .filter_map(|l| l.split_whitespace().next())
+        .collect();
+    for phase in ["instance", "cover"] {
+        assert!(
+            children.contains(&phase),
+            "no `{phase}` row under `tile` in: {err}"
+        );
+    }
+}
+
+#[test]
 fn plan_count_allocs_annotates_timing_without_changing_stdout() {
     let counted = mdg(&[
         "plan",
